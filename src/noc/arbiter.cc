@@ -20,14 +20,37 @@ Arbiter::pick(std::span<const std::int64_t> ranks)
 
     // Round-robin among the max-rank candidates, starting at the
     // pointer so ties rotate fairly.
-    for (unsigned off = 0; off < numInputs_; ++off) {
-        unsigned idx = (pointer_ + off) % numInputs_;
-        if (ranks[idx] == best) {
-            pointer_ = (idx + 1) % numInputs_;
-            return static_cast<int>(idx);
+    for (unsigned idx = pointer_; idx < numInputs_; ++idx)
+        if (ranks[idx] == best)
+            return grant(idx);
+    for (unsigned idx = 0; idx < pointer_; ++idx)
+        if (ranks[idx] == best)
+            return grant(idx);
+    return -1; // unreachable
+}
+
+int
+Arbiter::pickSparse(std::span<const unsigned> idx,
+                    std::span<const std::int64_t> ranks)
+{
+    // One pass: the best rank so far, its first holder, and its
+    // first holder at or after the pointer (the round-robin winner
+    // when there is one).
+    std::int64_t best = -1;
+    unsigned first = 0;
+    int after = -1;
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+        if (ranks[i] > best) {
+            best = ranks[i];
+            first = idx[i];
+            after = idx[i] >= pointer_ ? static_cast<int>(idx[i]) : -1;
+        } else if (ranks[i] == best && after < 0 && idx[i] >= pointer_) {
+            after = static_cast<int>(idx[i]);
         }
     }
-    return -1; // unreachable
+    if (best < 0)
+        return -1;
+    return grant(after >= 0 ? static_cast<unsigned>(after) : first);
 }
 
 int
@@ -36,8 +59,7 @@ Arbiter::grantSingle(unsigned idx)
     if (idx >= numInputs_)
         ocor_panic("Arbiter: grantSingle(%u) with %u inputs", idx,
                    numInputs_);
-    pointer_ = (idx + 1) % numInputs_;
-    return static_cast<int>(idx);
+    return grant(idx);
 }
 
 LpaResult

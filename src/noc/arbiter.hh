@@ -45,6 +45,15 @@ class Arbiter
     int pick(std::span<const std::int64_t> ranks);
 
     /**
+     * pick() over a sparse request list: @p idx holds the requesting
+     * inputs in increasing order and @p ranks their ranks (>= 0).
+     * Picks the same winner and moves the pointer the same way as
+     * pick() on the dense vector that is -1 everywhere else.
+     */
+    int pickSparse(std::span<const unsigned> idx,
+                   std::span<const std::int64_t> ranks);
+
+    /**
      * Fast path for the common single-requester case: grant input
      * @p idx directly, advancing the round-robin pointer exactly as
      * pick() would with one non-negative rank at @p idx. Callers
@@ -57,6 +66,12 @@ class Arbiter
     unsigned pointer() const { return pointer_; }
 
   private:
+    int grant(unsigned idx)
+    {
+        pointer_ = idx + 1 == numInputs_ ? 0 : idx + 1;
+        return static_cast<int>(idx);
+    }
+
     unsigned numInputs_;
     unsigned pointer_;
 };

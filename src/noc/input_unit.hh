@@ -3,19 +3,20 @@
  * Router input unit: per-VC flit FIFOs and their pipeline state.
  *
  * Each input port of the 2-stage router holds numVcs virtual-channel
- * FIFOs of vcDepth flits (Table 2: 6 VCs x 4 flits). Per VC we track
- * the computed route and the allocated downstream VC of the packet
- * currently at the head.
+ * FIFOs of vcDepth flits (Table 2: 6 VCs x 4 flits). The FIFOs are
+ * rings over one slab owned by the Router. Per VC we track the
+ * route, the Table-1 rank and the allocated downstream VC of the
+ * packet currently at the front.
  */
 
 #ifndef OCOR_NOC_INPUT_UNIT_HH
 #define OCOR_NOC_INPUT_UNIT_HH
 
-#include <deque>
-#include <vector>
+#include <cstdint>
 
 #include "common/types.hh"
 #include "noc/flit.hh"
+#include "noc/ring.hh"
 
 namespace ocor
 {
@@ -30,32 +31,21 @@ struct BufferedFlit
 /** State of one input virtual channel. */
 struct VcState
 {
-    std::deque<BufferedFlit> fifo;
+    Ring<BufferedFlit> fifo;
 
-    /** Route computed for the packet at the head (RC stage done). */
-    bool routed = false;
+    /** Route of the front packet, computed when its head reached
+     * the front of the FIFO (RC runs in parallel with VA). */
     unsigned outPort = 0;
+
+    /** Table-1 rank of the front packet (priorityRank of its
+     * header), cached when its head reached the front. */
+    std::int64_t rank = 0;
 
     /** Downstream VC allocated by VA; -1 while unallocated. */
     int outVc = -1;
 
     bool empty() const { return fifo.empty(); }
     const BufferedFlit &front() const { return fifo.front(); }
-
-    void
-    reset()
-    {
-        routed = false;
-        outVc = -1;
-    }
-};
-
-/** One router input port: a column of VC FIFOs. */
-struct InputUnit
-{
-    explicit InputUnit(unsigned num_vcs) : vcs(num_vcs) {}
-
-    std::vector<VcState> vcs;
 };
 
 } // namespace ocor

@@ -7,7 +7,16 @@ namespace ocor
 {
 
 void
-Link::sendFlit(const Flit &flit, Cycle now)
+Link::pushCredit(unsigned vc, Cycle at)
+{
+    noteMaybeBusy();
+    if (credits_.empty())
+        creditAt_ = at;
+    credits_.push({at, vc});
+}
+
+void
+Link::sendFlit(Flit flit, Cycle now)
 {
     if (lastFlitSend_ != neverCycle && lastFlitSend_ == now)
         ocor_panic("Link: two flits sent in cycle %llu",
@@ -17,18 +26,18 @@ Link::sendFlit(const Flit &flit, Cycle now)
     if (check_)
         check_->onLinkFlitSent();
 
+    Cycle at = now + latency_;
     if (fault_ && fault_->active()) {
-        Flit f = flit;
         Cycle extra = 0;
-        if (fault_->targets(linkId_, *f.pkt)) {
+        if (fault_->targets(linkId_, *flit.pkt)) {
             // Drop decisions are per packet (made at the head) so the
             // downstream agent never sees a partial packet; corruption
             // and jitter are per flit.
-            if (f.isHead() && fault_->drawDrop())
-                droppingPkts_.insert(f.pkt->id);
-            auto it = droppingPkts_.find(f.pkt->id);
+            if (flit.isHead() && fault_->drawDrop())
+                droppingPkts_.insert(flit.pkt->id);
+            auto it = droppingPkts_.find(flit.pkt->id);
             if (it != droppingPkts_.end()) {
-                if (f.isTail()) {
+                if (flit.isTail()) {
                     droppingPkts_.erase(it);
                     ++fault_->stats().packetsDropped;
                 }
@@ -37,11 +46,11 @@ Link::sendFlit(const Flit &flit, Cycle now)
                 // occupy the downstream buffer slot the sender
                 // debited: synthesize its credit so flow control
                 // does not leak.
-                credits_.emplace_back(now + latency_, f.vc);
+                pushCredit(flit.vc, now + latency_);
                 return;
             }
             if (fault_->drawCorrupt()) {
-                f.corrupted = true;
+                flit.corrupted = true;
                 ++fault_->stats().flitsCorrupted;
             }
             extra = fault_->drawJitter();
@@ -51,24 +60,23 @@ Link::sendFlit(const Flit &flit, Cycle now)
         // A stalled flit must not be overtaken by later ones (FIFO
         // wire), and the wire still delivers at most one flit per
         // cycle: arrivals are strictly increasing.
-        Cycle at = std::max(now + latency_ + extra, lastArrival_ + 1);
+        at = std::max(now + latency_ + extra, lastArrival_ + 1);
         lastArrival_ = at;
-        flits_.emplace_back(at, f);
-        return;
     }
-
-    flits_.emplace_back(now + latency_, flit);
+    noteMaybeBusy();
+    if (flits_.empty())
+        flitAt_ = at;
+    flits_.push({at, std::move(flit)});
 }
 
-std::optional<Flit>
-Link::takeFlit(Cycle now)
+Flit
+Link::popFlit(Cycle now)
 {
-    if (flits_.empty() || flits_.front().first > now)
-        return std::nullopt;
-    if (flits_.front().first < now)
+    if (flitAt_ < now)
         ocor_panic("Link: flit missed its delivery cycle");
-    Flit f = flits_.front().second;
-    flits_.pop_front();
+    Flit f = flits_.pop().flit;
+    flitAt_ = flits_.empty() ? neverCycle : flits_.front().at;
+    noteMaybeIdle();
     if (check_)
         check_->onLinkFlitDelivered();
     return f;
@@ -77,20 +85,7 @@ Link::takeFlit(Cycle now)
 void
 Link::sendCredit(unsigned vc, Cycle now)
 {
-    credits_.emplace_back(now + latency_, vc);
-}
-
-std::vector<unsigned>
-Link::takeCredits(Cycle now)
-{
-    std::vector<unsigned> out;
-    while (!credits_.empty() && credits_.front().first <= now) {
-        if (credits_.front().first < now)
-            ocor_panic("Link: credit missed its delivery cycle");
-        out.push_back(credits_.front().second);
-        credits_.pop_front();
-    }
-    return out;
+    pushCredit(vc, now + latency_);
 }
 
 } // namespace ocor

@@ -11,26 +11,48 @@
 #ifndef OCOR_NOC_LINK_HH
 #define OCOR_NOC_LINK_HH
 
-#include <deque>
 #include <optional>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
 #include "noc/fault.hh"
 #include "noc/flit.hh"
+#include "noc/params.hh"
+#include "noc/ring.hh"
 
 namespace ocor
 {
 
 class CheckerRegistry;
 
+/**
+ * Flits, and separately credits, a link can have in flight. Senders
+ * only transmit against a downstream credit, so the downstream
+ * port's total buffering is a hard bound; a fault drop turns a flit
+ * into a credit and keeps it.
+ */
+inline unsigned
+linkCapacity(const NocParams &p)
+{
+    return p.numVcs * p.vcDepth;
+}
+
 /** One-cycle (configurable) pipelined channel between two agents. */
 class Link
 {
   public:
-    explicit Link(unsigned latency = 1) : latency_(latency) {}
+    /** @p capacity: see linkCapacity(); overflow panics. */
+    explicit Link(unsigned latency = 1,
+                  unsigned capacity = linkCapacity(NocParams{}))
+        : latency_(latency), flitSlots_(capacity),
+          creditSlots_(capacity), flits_(flitSlots_),
+          credits_(creditSlots_)
+    {}
+
+    /** The rings point into the slot vectors: a Link never moves. */
+    Link(const Link &) = delete;
+    Link &operator=(const Link &) = delete;
 
     /**
      * Attach the fault oracle (may be null / inactive: zero-overhead
@@ -50,47 +72,102 @@ class Link
     void setChecker(CheckerRegistry *c) { check_ = c; }
 
     /** Upstream puts a flit on the wire during cycle @p now. */
-    void sendFlit(const Flit &flit, Cycle now);
+    void sendFlit(Flit flit, Cycle now);
 
     /** Downstream takes the flit arriving at cycle @p now, if any. */
-    std::optional<Flit> takeFlit(Cycle now);
+    std::optional<Flit>
+    takeFlit(Cycle now)
+    {
+        if (!flitDue(now))
+            return std::nullopt;
+        return popFlit(now);
+    }
 
     /** Downstream returns a credit for VC @p vc during cycle @p now. */
     void sendCredit(unsigned vc, Cycle now);
 
-    /** Upstream collects all credits arriving at cycle @p now. */
-    std::vector<unsigned> takeCredits(Cycle now);
+    /** Upstream collects all credits arriving at cycle @p now,
+     * calling @p fn(vc) for each in send order. */
+    template <class Fn>
+    void
+    drainCredits(Cycle now, Fn &&fn)
+    {
+        while (creditDue(now)) {
+            if (creditAt_ < now)
+                ocor_panic("Link: credit missed its delivery cycle");
+            unsigned vc = credits_.pop().vc;
+            creditAt_ = credits_.empty() ? neverCycle
+                                         : credits_.front().at;
+            noteMaybeIdle();
+            fn(vc);
+        }
+    }
 
     unsigned latency() const { return latency_; }
     bool idle() const { return flits_.empty() && credits_.empty(); }
+
+    /**
+     * Count this link in @p *active while it is not idle(): the
+     * Network's O(1) "some link carries something" test. Must be
+     * attached while the link is idle.
+     */
+    void setActivityCounter(unsigned *active) { active_ = active; }
 
     /**
      * O(1) event-core due tests. Arrival cycles are monotone within
      * each queue (sendFlit keeps them strictly increasing even under
      * fault jitter; credits are stamped now + latency with monotone
      * now), so the front entry is the earliest and a front check is
-     * exact, not heuristic.
+     * exact, not heuristic. The front arrival is cached in
+     * flitAt_/creditAt_ (neverCycle when empty).
      */
-    bool flitDue(Cycle now) const
-    {
-        return !flits_.empty() && flits_.front().first <= now;
-    }
-    bool creditDue(Cycle now) const
-    {
-        return !credits_.empty() && credits_.front().first <= now;
-    }
+    bool flitDue(Cycle now) const { return flitAt_ <= now; }
+    bool creditDue(Cycle now) const { return creditAt_ <= now; }
 
     /** Flits ever put on the wire (dropped ones included): the
      * utilization numerator sampled by interval telemetry. */
     std::uint64_t flitsCarried() const { return flitsCarried_; }
 
   private:
+    struct FlitSlot
+    {
+        Cycle at = 0;
+        Flit flit;
+    };
+    struct CreditSlot
+    {
+        Cycle at = 0;
+        unsigned vc = 0;
+    };
+
+    void pushCredit(unsigned vc, Cycle at);
+    Flit popFlit(Cycle now);
+
+    /** Activity bookkeeping around every push and pop. */
+    void
+    noteMaybeBusy()
+    {
+        if (active_ && idle())
+            ++*active_;
+    }
+    void
+    noteMaybeIdle()
+    {
+        if (active_ && idle())
+            --*active_;
+    }
+
     unsigned latency_;
     CheckerRegistry *check_ = nullptr;
+    unsigned *active_ = nullptr;
     std::uint64_t flitsCarried_ = 0;
     Cycle lastFlitSend_ = neverCycle;
-    std::deque<std::pair<Cycle, Flit>> flits_;
-    std::deque<std::pair<Cycle, unsigned>> credits_;
+    Cycle flitAt_ = neverCycle;
+    Cycle creditAt_ = neverCycle;
+    std::vector<FlitSlot> flitSlots_;
+    std::vector<CreditSlot> creditSlots_;
+    Ring<FlitSlot> flits_;
+    Ring<CreditSlot> credits_;
 
     // --- fault injection (inert unless fault_ is active) -----------
     FaultInjector *fault_ = nullptr;

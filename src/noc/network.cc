@@ -18,6 +18,7 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
     for (NodeId i = 0; i < n; ++i) {
         routers_.push_back(
             std::make_unique<Router>(i, mesh, params, ocor));
+        routers_.back()->setBusyCounter(&busyRouters_);
         nis_.push_back(
             std::make_unique<NetworkInterface>(i, params, ocor));
         if (fault) {
@@ -31,7 +32,9 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
 
     unsigned next_link_id = 0;
     auto new_link = [&]() {
-        links_.push_back(std::make_unique<Link>(params.linkLatency));
+        links_.push_back(std::make_unique<Link>(
+            params.linkLatency, linkCapacity(params)));
+        links_.back()->setActivityCounter(&activeLinks_);
         if (fault)
             links_.back()->setFaultInjector(fault, next_link_id);
         ++next_link_id;
@@ -260,12 +263,8 @@ Network::tickEvent(Cycle now)
 Cycle
 Network::nextWake(Cycle now) const
 {
-    for (const auto &r : routers_)
-        if (r->busy())
-            return now + 1;
-    for (const auto &l : links_)
-        if (!l->idle())
-            return now + 1;
+    if (busyRouters_ > 0 || activeLinks_ > 0)
+        return now + 1;
     Cycle w = neverCycle;
     for (const auto &ni : nis_) {
         Cycle n = ni->nextWake(now);
@@ -295,12 +294,10 @@ netWakeReasonName(NetWakeReason r)
 NetWakeReason
 Network::wakeReason(Cycle now) const
 {
-    for (const auto &r : routers_)
-        if (r->busy())
-            return NetWakeReason::RouterBusy;
-    for (const auto &l : links_)
-        if (!l->idle())
-            return NetWakeReason::LinkBusy;
+    if (busyRouters_ > 0)
+        return NetWakeReason::RouterBusy;
+    if (activeLinks_ > 0)
+        return NetWakeReason::LinkBusy;
     Cycle ni_wake = neverCycle;
     for (const auto &ni : nis_)
         ni_wake = std::min(ni_wake, ni->nextWake(now));
@@ -323,14 +320,10 @@ Network::finalizeWindows(Cycle now)
 bool
 Network::idle() const
 {
-    for (const auto &r : routers_)
-        if (r->occupancy() != 0)
-            return false;
+    if (busyRouters_ > 0 || activeLinks_ > 0)
+        return false;
     for (const auto &ni : nis_)
         if (!ni->idle())
-            return false;
-    for (const auto &l : links_)
-        if (!l->idle())
             return false;
     return fastQueue_.empty();
 }

@@ -198,6 +198,12 @@ class Network
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
     std::vector<std::unique_ptr<Link>> links_;
 
+    /** Routers with a buffered flit and links with a flit or credit
+     * in flight, kept by the routers and links themselves on every
+     * empty <-> non-empty transition. */
+    unsigned busyRouters_ = 0;
+    unsigned activeLinks_ = 0;
+
     /** In-flight analytic deliveries, ordered by (arrival, push
      * sequence) for deterministic same-cycle delivery order. */
     struct FastEntry

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "check/checker_registry.hh"
 #include "common/log.hh"
@@ -17,6 +18,7 @@ NetworkInterface::NetworkInterface(NodeId id, const NocParams &params,
     : id_(id), params_(params), ocor_(ocor), sendArb_(params.numVcs)
 {
     outVcs_.resize(params.numVcs);
+    reassembly_.resize(params.numVcs);
     for (auto &vc : outVcs_)
         vc.credits = params.vcDepth;
 }
@@ -130,7 +132,7 @@ NetworkInterface::idle() const
     for (const auto &vc : outVcs_)
         if (vc.pkt)
             return false;
-    return reassembly_.empty();
+    return reassembling_ == 0;
 }
 
 void
@@ -158,19 +160,22 @@ NetworkInterface::ejectIncoming(Cycle now)
     // the NI consumes it immediately and returns the credit.
     while (auto flit = fromRouter_->takeFlit(now)) {
         fromRouter_->sendCredit(flit->vc, now);
+        if (flit->vc >= reassembly_.size())
+            ocor_panic("NI %u: bad flit vc %u", id_, flit->vc);
+        RxPacket &rx = reassembly_[flit->vc];
         if (flit->isHead()) {
-            if (reassembly_.count(flit->vc))
+            if (rx.pkt)
                 ocor_panic("NI %u: head over unfinished packet", id_);
-            reassembly_[flit->vc] = {flit->pkt, false};
-        }
-        auto it = reassembly_.find(flit->vc);
-        if (it == reassembly_.end())
+            rx.pkt = std::move(flit->pkt);
+            ++reassembling_;
+        } else if (!rx.pkt) {
             ocor_panic("NI %u: flit without head", id_);
-        it->second.corrupt |= flit->corrupted;
+        }
+        rx.corrupt |= flit->corrupted;
         if (flit->isTail()) {
-            RxPacket rx = it->second;
-            reassembly_.erase(it);
-            deliverMeshPacket(rx.pkt, rx.corrupt, now);
+            RxPacket done = std::exchange(rx, {});
+            --reassembling_;
+            deliverMeshPacket(done.pkt, done.corrupt, now);
         }
     }
 }
@@ -235,18 +240,21 @@ NetworkInterface::assignVcs(Cycle now)
         std::int64_t best = -1;
         std::size_t best_idx = 0;
         for (std::size_t i = 0; i < injectQueue_.size(); ++i) {
-            if (injectQueue_[i].ready > now)
+            auto &q = injectQueue_[i];
+            if (q.ready > now)
                 continue;
-            auto rank = static_cast<std::int64_t>(
-                priorityRank(ocor_, injectQueue_[i].pkt->priority));
-            if (rank > best) {
-                best = rank;
+            if (q.rank < 0)
+                q.rank = static_cast<std::int64_t>(
+                    priorityRank(ocor_, q.pkt->priority));
+            if (q.rank > best) {
+                best = q.rank;
                 best_idx = i;
             }
         }
         if (best < 0)
             break;
-        vc.pkt = injectQueue_[best_idx].pkt;
+        vc.pkt = std::move(injectQueue_[best_idx].pkt);
+        vc.rank = best;
         vc.nextFlit = 0;
         injectQueue_.erase(injectQueue_.begin()
                            + static_cast<std::ptrdiff_t>(best_idx));
@@ -268,8 +276,7 @@ NetworkInterface::sendOneFlit(Cycle now)
         const auto &vc = outVcs_[v];
         if (!vc.pkt || vc.credits == 0)
             continue;
-        ranks[v] = static_cast<std::int64_t>(
-            priorityRank(ocor_, vc.pkt->priority));
+        ranks[v] = vc.rank;
         any = true;
     }
     if (!any)
@@ -280,30 +287,33 @@ NetworkInterface::sendOneFlit(Cycle now)
 
     auto &vc = outVcs_[static_cast<unsigned>(winner)];
     Flit flit;
-    flit.pkt = vc.pkt;
     flit.index = vc.nextFlit;
     flit.type = flitTypeFor(vc.nextFlit, vc.pkt->numFlits);
     flit.vc = static_cast<unsigned>(winner);
+    const bool tail = flit.isTail();
 
     if (flit.isHead())
         vc.pkt->networkEnter = now;
+    if (tail) {
+        ++stats_.packetsInjected;
+        if (isLockProtocol(vc.pkt->type))
+            ++stats_.lockPacketsInjected;
+        // The tail flit takes over the VC's reference.
+        flit.pkt = std::move(vc.pkt);
+        vc.nextFlit = 0;
+    } else {
+        flit.pkt = vc.pkt;
+        ++vc.nextFlit;
+    }
 
-    toRouter_->sendFlit(flit, now);
+    toRouter_->sendFlit(std::move(flit), now);
     --vc.credits;
-    ++vc.nextFlit;
     ++stats_.flitsInjected;
     // The NI's injection VCs are "port NumPorts" in the credit
     // ledger: a pseudo-port that can never clash with a router port.
     if (check_)
-        check_->onTraversal(id_, NumPorts, flit.vc, now);
-
-    if (flit.isTail()) {
-        ++stats_.packetsInjected;
-        if (isLockProtocol(vc.pkt->type))
-            ++stats_.lockPacketsInjected;
-        vc.pkt.reset();
-        vc.nextFlit = 0;
-    }
+        check_->onTraversal(id_, NumPorts, static_cast<unsigned>(winner),
+                            now);
 }
 
 void
@@ -311,7 +321,7 @@ NetworkInterface::tick(Cycle now)
 {
     // Credits from the router's local input port.
     if (toRouter_) {
-        for (unsigned v : toRouter_->takeCredits(now)) {
+        toRouter_->drainCredits(now, [&](unsigned v) {
             if (v >= params_.numVcs)
                 ocor_panic("NI %u: bad credit vc %u", id_, v);
             auto &vc = outVcs_[v];
@@ -320,7 +330,7 @@ NetworkInterface::tick(Cycle now)
             ++vc.credits;
             if (check_)
                 check_->onCreditReturn(id_, NumPorts, v, now);
-        }
+        });
     }
 
     ejectIncoming(now);

@@ -139,7 +139,7 @@ class NetworkInterface
         for (const auto &vc : outVcs_)
             if (vc.pkt)
                 return std::min(w, now + 1);
-        if (!reassembly_.empty())
+        if (reassembling_ > 0)
             return std::min(w, now + 1);
         for (const auto &[seq, o] : outstanding_)
             w = std::min(w, o.deadline);
@@ -181,25 +181,30 @@ class NetworkInterface
     {
         PacketPtr pkt;
         Cycle ready = 0; ///< earliest cycle the head may leave
+        /** Table-1 rank, cached by the first assignVcs() scan that
+         * sees the packet ready (-1 until then). */
+        std::int64_t rank = -1;
     };
     std::deque<QueuedPacket> injectQueue_;
 
     struct ActiveVc
     {
         PacketPtr pkt;       ///< null when the VC is free
+        std::int64_t rank = 0; ///< Table-1 rank of pkt
         unsigned nextFlit = 0;
         unsigned credits = 0;
     };
     std::vector<ActiveVc> outVcs_;
     Arbiter sendArb_;
 
-    /** Reassembly of incoming packets, keyed by VC. */
+    /** Reassembly of incoming packets, indexed by VC. */
     struct RxPacket
     {
-        PacketPtr pkt;
+        PacketPtr pkt;        ///< null while the VC is idle
         bool corrupt = false; ///< any flit corrupted in flight
     };
-    std::map<unsigned, RxPacket> reassembly_;
+    std::vector<RxPacket> reassembly_;
+    unsigned reassembling_ = 0; ///< VCs with a packet in progress
 
     /** Same-node loopback (src == dst), 1-cycle latency. */
     std::deque<std::pair<Cycle, PacketPtr>> loopback_;

@@ -6,43 +6,46 @@
 #ifndef OCOR_NOC_OUTPUT_UNIT_HH
 #define OCOR_NOC_OUTPUT_UNIT_HH
 
-#include <vector>
+#include <array>
+#include <bit>
+#include <cstdint>
 
 #include "common/types.hh"
 
 namespace ocor
 {
 
-/** Upstream view of one downstream virtual channel. */
-struct OutVcState
-{
-    /** Free buffer slots in the downstream VC FIFO. */
-    unsigned credits = 0;
-
-    /** A packet currently owns this VC (head sent, tail not yet). */
-    bool allocated = false;
-};
-
-/** One router output port. */
+/** One router output port: the upstream view of the downstream
+ * port's virtual channels. */
 struct OutputUnit
 {
+    /** VCs per port the router supports (SystemConfig caps numVcs
+     * at this, and VC masks are 32-bit words). */
+    static constexpr unsigned maxVcs = 16;
+
     OutputUnit(unsigned num_vcs, unsigned vc_depth)
-        : vcs(num_vcs)
+        : freeMask((std::uint32_t{1} << num_vcs) - 1)
     {
-        for (auto &vc : vcs)
-            vc.credits = vc_depth;
+        for (unsigned v = 0; v < num_vcs; ++v)
+            credits[v] = vc_depth;
     }
 
-    std::vector<OutVcState> vcs;
+    /** Free buffer slots in each downstream VC FIFO. */
+    std::array<unsigned, maxVcs> credits{};
 
-    /** Index of a free (unallocated) VC, or -1. */
+    /** Bit v set while downstream VC v is free: no packet owns it
+     * (a VC is owned from its head's VA grant until its tail is
+     * sent). */
+    std::uint32_t freeMask;
+
+    void allocate(unsigned v) { freeMask &= ~(std::uint32_t{1} << v); }
+    void release(unsigned v) { freeMask |= std::uint32_t{1} << v; }
+
+    /** Lowest-index free VC, or -1. */
     int
     findFreeVc() const
     {
-        for (std::size_t i = 0; i < vcs.size(); ++i)
-            if (!vcs[i].allocated)
-                return static_cast<int>(i);
-        return -1;
+        return freeMask ? std::countr_zero(freeMask) : -1;
     }
 };
 

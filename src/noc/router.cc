@@ -1,5 +1,6 @@
 #include "noc/router.hh"
 
+#include <bit>
 #include <utility>
 
 #include "check/checker_registry.hh"
@@ -17,8 +18,12 @@ Router::Router(NodeId id, const MeshShape &mesh,
     if (params.numVcs > maxVcs)
         ocor_panic("Router: numVcs %u exceeds %u", params.numVcs,
                    maxVcs);
-    inputs_.assign(NumPorts, InputUnit(params.numVcs));
+    vcs_.resize(std::size_t{NumPorts} * params.numVcs);
     outputs_.assign(NumPorts, OutputUnit(params.numVcs, params.vcDepth));
+    slab_.resize(vcs_.size() * params.vcDepth);
+    for (std::size_t i = 0; i < vcs_.size(); ++i)
+        vcs_[i].fifo = Ring<BufferedFlit>(
+            {slab_.data() + i * params.vcDepth, params.vcDepth});
     for (unsigned p = 0; p < NumPorts; ++p) {
         vaArb_.emplace_back(NumPorts * params.numVcs);
         saLocalArb_.emplace_back(params.numVcs);
@@ -38,46 +43,44 @@ Router::attach(unsigned port, Link *in_link, Link *out_link)
 unsigned
 Router::occupancy() const
 {
-    unsigned n = 0;
-    for (const auto &in : inputs_)
-        for (const auto &vc : in.vcs)
-            n += static_cast<unsigned>(vc.fifo.size());
-    return n;
+    return buffered_;
 }
 
-std::int64_t
-Router::headRank(const VcState &vc) const
+void
+Router::headAtFront(unsigned p, unsigned v)
 {
-    const auto &pkt = vc.front().flit.pkt;
-    auto rank =
-        static_cast<std::int64_t>(priorityRank(ocor_, pkt->priority));
-    if (testInvertArb_)
-        rank = (std::int64_t{1} << 20) - rank;
-    return rank;
+    auto &vc = vcAt(p, v);
+    const Packet &pkt = *vc.front().flit.pkt;
+    vc.outPort = xyRoute(mesh_, id_, pkt.dst);
+    vc.rank = static_cast<std::int64_t>(priorityRank(ocor_, pkt.priority));
+    setBit(vaReady_, vaPorts_, p, v);
 }
 
 void
 Router::testSwapVcFlits(unsigned port, unsigned v)
 {
-    auto &fifo = inputs_[port].vcs[v].fifo;
-    if (fifo.size() >= 2)
-        std::swap(fifo[0], fifo[1]);
+    auto &vc = vcAt(port, v);
+    if (vc.fifo.size() < 2)
+        return;
+    std::swap(vc.fifo[0], vc.fifo[1]);
+    vc.rank = static_cast<std::int64_t>(
+        priorityRank(ocor_, vc.front().flit.pkt->priority));
 }
 
 void
 Router::acceptCredits(unsigned p, Cycle now)
 {
     // Credits returning from downstream.
-    for (unsigned vc : outLinks_[p]->takeCredits(now)) {
+    outLinks_[p]->drainCredits(now, [&](unsigned vc) {
         if (vc >= params_.numVcs)
             ocor_panic("router %u: bad credit vc %u", id_, vc);
-        auto &state = outputs_[p].vcs[vc];
-        if (state.credits >= params_.vcDepth)
+        unsigned &credits = outputs_[p].credits[vc];
+        if (credits >= params_.vcDepth)
             ocor_panic("router %u: credit overflow", id_);
-        ++state.credits;
+        ++credits;
         if (check_)
             check_->onCreditReturn(id_, p, vc, now);
-    }
+    });
 }
 
 void
@@ -85,22 +88,25 @@ Router::acceptFlits(unsigned p, Cycle now)
 {
     // Flits arriving from upstream.
     while (auto flit = inLinks_[p]->takeFlit(now)) {
-        auto &vc = inputs_[p].vcs[flit->vc];
-        if (vc.fifo.size() >= params_.vcDepth)
-            ocor_panic("router %u: VC overflow p=%u vc=%u",
-                       id_, p, flit->vc);
-        // A head landing at the front of an empty VC is a fresh VA
-        // candidate (an empty VC cannot be mid-packet: outVc is
-        // reset when the previous tail traverses, so front-is-head
-        // implies unallocated).
-        if (vc.fifo.empty() && flit->isHead()) {
-            ++vaPending_;
-            ++vaPendingPort_[p];
-        }
-        vc.fifo.push_back({*flit, now});
-        ++buffered_;
+        const unsigned v = flit->vc;
+        if (v >= params_.numVcs)
+            ocor_panic("router %u: bad flit vc %u", id_, v);
+        auto &vc = vcAt(p, v);
+        if (vc.fifo.full())
+            ocor_panic("router %u: VC overflow p=%u vc=%u", id_, p, v);
+        // A head landing in an empty VC is a fresh VA candidate (an
+        // empty VC cannot be mid-packet: outVc is reset when the
+        // previous tail traverses, so front-is-head implies
+        // unallocated). A body flit landing in an empty VC belongs
+        // to the packet already being routed, whose rank is cached.
+        const bool fresh_head = vc.fifo.empty() && flit->isHead();
+        vc.fifo.push({std::move(*flit), now});
+        if (fresh_head)
+            headAtFront(p, v);
+        if (buffered_++ == 0 && busyCounter_)
+            ++*busyCounter_;
         if (check_)
-            check_->onVcPush(id_, p, flit->vc, *flit, now);
+            check_->onVcPush(id_, p, v, vc.fifo.back().flit, now);
     }
 }
 
@@ -116,128 +122,143 @@ Router::deliverIncoming(Cycle now)
 }
 
 void
+Router::grantVc(unsigned p, unsigned v, unsigned op, Cycle now)
+{
+    auto &vc = vcAt(p, v);
+    const int ovc = outputs_[op].findFreeVc();
+    outputs_[op].allocate(static_cast<unsigned>(ovc));
+    vc.outVc = ovc;
+    clearBit(vaReady_, vaPorts_, p, v);
+    setBit(saActive_, saPorts_, p, v);
+    ++stats_.vaGrants;
+    if (trace_) {
+        const auto &pkt = *vc.front().flit.pkt;
+        trace_->record(TraceCat::Noc, TraceEv::VcAlloc, now, id_,
+                       invalidThread, 0, pkt.id,
+                       static_cast<std::uint32_t>(pkt.type), op);
+    }
+}
+
+void
 Router::vcAllocation(Cycle now)
 {
-    // Collect head flits needing RC + VA into a per-output request
-    // mask over the flattened candidate index port * numVcs + vc.
     const unsigned nvc = params_.numVcs;
 
+    // Bucket the eligible VA candidates by output port, in increasing
+    // flattened index port * numVcs + vc (the VA arbiters' input
+    // order). A head whose output has no free VC cannot be granted
+    // this cycle, so it is left out: it would neither win nor move an
+    // arbiter pointer.
+    constexpr unsigned maxReqs = NumPorts * maxVcs;
+    std::array<std::array<unsigned, maxReqs>, NumPorts> reqs;
     std::array<unsigned, NumPorts> reqCount{};
-    std::array<unsigned, NumPorts> soleReq{};
-    auto ranks = std::span<std::int64_t>(vaRanks_.data(),
-                                         NumPorts * nvc);
-
-    // The ranks array is only read by the contested loop below, which
-    // rewrites every entry before each pick; this pass just tallies
-    // requesters, so ports with no unallocated head can be skipped
-    // outright.
-    for (unsigned p = 0; p < NumPorts; ++p) {
-        if (vaPendingPort_[p] == 0)
-            continue;
-        for (unsigned v = 0; v < nvc; ++v) {
-            auto &vc = inputs_[p].vcs[v];
-            if (vc.empty())
-                continue;
-            const auto &bf = vc.front();
-            if (!bf.flit.isHead())
-                continue;
+    for (std::uint32_t ports = vaPorts_; ports; ports &= ports - 1) {
+        const auto p = static_cast<unsigned>(std::countr_zero(ports));
+        for (std::uint32_t m = vaReady_[p]; m; m &= m - 1) {
+            const auto v = static_cast<unsigned>(std::countr_zero(m));
+            const auto &vc = vcAt(p, v);
             // Stage-1 eligibility: one cycle after arrival.
-            if (bf.arrival + 1 > now)
+            if (vc.front().arrival + 1 > now)
                 continue;
-            if (!vc.routed) {
-                vc.outPort = xyRoute(mesh_, id_, bf.flit.pkt->dst);
-                vc.routed = true;
-            }
-            if (vc.outVc >= 0)
-                continue; // already allocated
-            ++reqCount[vc.outPort];
-            soleReq[vc.outPort] = p * nvc + v;
+            if (outputs_[vc.outPort].freeMask == 0)
+                continue;
+            reqs[vc.outPort][reqCount[vc.outPort]++] = p * nvc + v;
         }
     }
 
     for (unsigned op = 0; op < NumPorts; ++op) {
-        if (reqCount[op] == 0)
+        unsigned n = reqCount[op];
+        if (n == 0)
             continue;
-        if (reqCount[op] == 1) {
+        auto &idx = reqs[op];
+        if (n == 1) {
             // Single-requester fast path: no competition, so skip
             // the rank scan. grantSingle advances the round-robin
             // pointer exactly as the full arbitration would.
-            int ovc = outputs_[op].findFreeVc();
-            if (ovc < 0)
-                continue;
-            unsigned idx = soleReq[op];
-            vaArb_[op].grantSingle(idx);
-            outputs_[op].vcs[ovc].allocated = true;
-            inputs_[idx / nvc].vcs[idx % nvc].outVc = ovc;
-            --vaPending_;
-            --vaPendingPort_[idx / nvc];
-            ++saPending_;
-            ++saPendingPort_[idx / nvc];
-            ++stats_.vaGrants;
-            if (trace_) {
-                const auto &pkt =
-                    *inputs_[idx / nvc].vcs[idx % nvc].front().flit.pkt;
-                trace_->record(TraceCat::Noc, TraceEv::VcAlloc, now,
-                               id_, invalidThread, 0, pkt.id,
-                               static_cast<std::uint32_t>(pkt.type),
-                               op);
-            }
+            vaArb_[op].grantSingle(idx[0]);
+            grantVc(idx[0] / nvc, idx[0] % nvc, op, now);
             continue;
         }
         // Grant free output VCs to requesters in rank order; the
-        // arbiter's pointer rotates ties.
-        while (reqCount[op] > 0 && outputs_[op].findFreeVc() >= 0) {
-            for (unsigned p = 0; p < NumPorts; ++p) {
-                if (vaPendingPort_[p] == 0) {
-                    // No unallocated head on this port: nothing can
-                    // be requesting, only the -1 fill is needed.
-                    for (unsigned v = 0; v < nvc; ++v)
-                        ranks[p * nvc + v] = -1;
-                    continue;
-                }
-                for (unsigned v = 0; v < nvc; ++v) {
-                    auto &vc = inputs_[p].vcs[v];
-                    bool requesting = !vc.empty() && vc.routed &&
-                        vc.outPort == op && vc.outVc < 0 &&
-                        vc.front().flit.isHead() &&
-                        vc.front().arrival + 1 <= now;
-                    ranks[p * nvc + v] =
-                        requesting ? headRank(vc) : -1;
-                }
-            }
-            int winner = vaArb_[op].pick(ranks);
-            if (winner < 0)
-                break;
+        // arbiter's pointer rotates ties. Ranks do not change within
+        // the cycle, so a grant just drops the winner from the list.
+        std::array<std::int64_t, maxReqs> ranks;
+        for (unsigned i = 0; i < n; ++i)
+            ranks[i] = headRank(vcs_[idx[i]]);
+        while (n > 0 && outputs_[op].freeMask != 0) {
+            const int winner = vaArb_[op].pickSparse(
+                {idx.data(), n}, {ranks.data(), n});
             if (check_ && check_->wantsArbitration()) {
                 std::vector<const Packet *> cands(NumPorts * nvc,
                                                   nullptr);
-                for (unsigned i = 0; i < NumPorts * nvc; ++i)
-                    if (ranks[i] >= 0)
-                        cands[i] = inputs_[i / nvc].vcs[i % nvc]
-                                       .front().flit.pkt.get();
+                for (unsigned i = 0; i < n; ++i)
+                    cands[idx[i]] = vcs_[idx[i]].front().flit.pkt.get();
                 check_->onArbGrant(id_, "va", cands,
                                    static_cast<unsigned>(winner),
                                    now);
             }
-            unsigned wp = static_cast<unsigned>(winner) / nvc;
-            unsigned wv = static_cast<unsigned>(winner) % nvc;
-            int ovc = outputs_[op].findFreeVc();
-            outputs_[op].vcs[ovc].allocated = true;
-            inputs_[wp].vcs[wv].outVc = ovc;
-            --vaPending_;
-            --vaPendingPort_[wp];
-            ++saPending_;
-            ++saPendingPort_[wp];
-            ++stats_.vaGrants;
-            if (trace_) {
-                const auto &pkt = *inputs_[wp].vcs[wv].front().flit.pkt;
-                trace_->record(TraceCat::Noc, TraceEv::VcAlloc, now,
-                               id_, invalidThread, 0, pkt.id,
-                               static_cast<std::uint32_t>(pkt.type),
-                               op);
+            const auto w = static_cast<unsigned>(winner);
+            grantVc(w / nvc, w % nvc, op, now);
+            unsigned i = 0;
+            while (idx[i] != w)
+                ++i;
+            for (--n; i < n; ++i) {
+                idx[i] = idx[i + 1];
+                ranks[i] = ranks[i + 1];
             }
-            --reqCount[op];
         }
+    }
+}
+
+void
+Router::traverse(unsigned p, unsigned v, std::int64_t rank, Cycle now)
+{
+    auto &vc = vcAt(p, v);
+    const unsigned op = vc.outPort;
+    const auto ovc_id = static_cast<unsigned>(vc.outVc);
+    if (!outLinks_[op])
+        ocor_panic("router %u: traversal to unattached port %u", id_,
+                   op);
+
+    BufferedFlit bf = vc.fifo.pop();
+    if (--buffered_ == 0 && busyCounter_)
+        --*busyCounter_;
+    if (check_)
+        check_->onVcPop(id_, p, v, bf.flit, now);
+
+    Flit &out = bf.flit;
+    out.vc = ovc_id;
+    const bool head = out.isHead();
+    const bool tail = out.isTail();
+    const MsgType type = out.pkt->type;
+    const std::uint64_t pkt_id = out.pkt->id;
+    outLinks_[op]->sendFlit(std::move(out), now);
+    --outputs_[op].credits[ovc_id];
+    if (check_)
+        check_->onTraversal(id_, op, ovc_id, now);
+
+    // Return the freed buffer slot upstream.
+    if (inLinks_[p])
+        inLinks_[p]->sendCredit(v, now);
+
+    ++stats_.saGrants;
+    ++stats_.flitsRouted;
+    if (isLockProtocol(type))
+        ++stats_.lockFlitsRouted;
+    if (trace_ && head)
+        trace_->record(TraceCat::Noc, TraceEv::SaGrant, now, id_,
+                       invalidThread, 0, pkt_id,
+                       static_cast<std::uint32_t>(type),
+                       static_cast<std::uint32_t>(rank));
+
+    if (tail) {
+        outputs_[op].release(ovc_id); // VC reusable by the next packet
+        vc.outVc = -1;
+        clearBit(saActive_, saPorts_, p, v);
+        // Anything left in the FIFO is the next packet, so its head
+        // is now at the front awaiting VA.
+        if (!vc.fifo.empty())
+            headAtFront(p, v);
     }
 }
 
@@ -247,143 +268,92 @@ Router::switchAllocation(Cycle now)
     const unsigned nvc = params_.numVcs;
 
     // Local stage: per input port, pick the best ready VC (the LPA of
-    // Figure 9, modeled by rank arbitration).
+    // Figure 9, modeled by rank arbitration). Only VCs holding a
+    // downstream VC can be ready.
     struct Candidate
     {
-        bool valid = false;
         unsigned inVc = 0;
         std::int64_t rank = -1;
-        unsigned outPort = 0;
     };
     std::array<Candidate, NumPorts> local{};
+    // Bit p of outReq[op]: port p's local winner heads for op.
+    std::array<std::uint32_t, NumPorts> outReq{};
 
-    for (unsigned p = 0; p < NumPorts; ++p) {
-        // Ports with no allocated VC can have no local candidate
-        // (count would stay 0 below): skip the scan.
-        if (saPendingPort_[p] == 0)
-            continue;
-        auto ranks = std::span<std::int64_t>(saLocalRanks_.data(),
-                                             nvc);
-        unsigned count = 0, lastV = 0;
-        for (unsigned v = 0; v < nvc; ++v) {
-            ranks[v] = -1;
-            auto &vc = inputs_[p].vcs[v];
-            if (vc.empty() || !vc.routed || vc.outVc < 0)
+    for (std::uint32_t ports = saPorts_; ports; ports &= ports - 1) {
+        const auto p = static_cast<unsigned>(std::countr_zero(ports));
+        std::array<unsigned, maxVcs> idx;
+        std::array<std::int64_t, maxVcs> ranks;
+        unsigned n = 0;
+        for (std::uint32_t m = saActive_[p]; m; m &= m - 1) {
+            const auto v = static_cast<unsigned>(std::countr_zero(m));
+            const auto &vc = vcAt(p, v);
+            if (vc.empty())
                 continue;
-            const auto &bf = vc.front();
-            if (bf.arrival + params_.routerStages > now)
-                continue; // still in the pipeline
-            auto &ovc = outputs_[vc.outPort].vcs[vc.outVc];
-            if (ovc.credits == 0)
+            if (outputs_[vc.outPort].credits[vc.outVc] == 0)
                 continue; // no downstream buffer space
-            ranks[v] = headRank(vc);
-            ++count;
-            lastV = v;
+            if (vc.front().arrival + params_.routerStages > now)
+                continue; // still in the pipeline
+            idx[n] = v;
+            ranks[n] = headRank(vc);
+            ++n;
         }
-        if (count == 0)
+        if (n == 0)
             continue;
         // Lone ready VC: bypass the rank arbitration (pointer still
         // advances identically).
-        int winner = count == 1 ? saLocalArb_[p].grantSingle(lastV)
-                                : saLocalArb_[p].pick(ranks);
-        if (winner >= 0) {
-            if (count > 1 && check_ && check_->wantsArbitration()) {
+        unsigned w = 0;
+        if (n == 1) {
+            saLocalArb_[p].grantSingle(idx[0]);
+        } else {
+            const auto winner = static_cast<unsigned>(
+                saLocalArb_[p].pickSparse({idx.data(), n},
+                                          {ranks.data(), n}));
+            while (idx[w] != winner)
+                ++w;
+            if (check_ && check_->wantsArbitration()) {
                 std::vector<const Packet *> cands(nvc, nullptr);
-                for (unsigned v = 0; v < nvc; ++v)
-                    if (ranks[v] >= 0)
-                        cands[v] =
-                            inputs_[p].vcs[v].front().flit.pkt.get();
-                check_->onArbGrant(id_, "sa-local", cands,
-                                   static_cast<unsigned>(winner),
-                                   now);
+                for (unsigned i = 0; i < n; ++i)
+                    cands[idx[i]] =
+                        vcAt(p, idx[i]).front().flit.pkt.get();
+                check_->onArbGrant(id_, "sa-local", cands, winner, now);
             }
-            auto &vc = inputs_[p].vcs[winner];
-            local[p] = {true, static_cast<unsigned>(winner),
-                        ranks[winner], vc.outPort};
         }
+        local[p] = {idx[w], ranks[w]};
+        outReq[vcAt(p, idx[w]).outPort] |= 1u << p;
     }
 
     // Global stage: per output port, pick among input-port winners.
     for (unsigned op = 0; op < NumPorts; ++op) {
-        auto &ranks = saGlobalRanks_;
-        unsigned count = 0, lastP = 0;
-        for (unsigned p = 0; p < NumPorts; ++p) {
-            ranks[p] = -1;
-            if (local[p].valid && local[p].outPort == op) {
-                ranks[p] = local[p].rank;
-                ++count;
-                lastP = p;
+        const std::uint32_t req = outReq[op];
+        if (req == 0)
+            continue;
+        const auto count = static_cast<unsigned>(std::popcount(req));
+        unsigned p;
+        if (count == 1) {
+            p = static_cast<unsigned>(std::countr_zero(req));
+            saGlobalArb_[op].grantSingle(p);
+        } else {
+            std::array<unsigned, NumPorts> idx;
+            std::array<std::int64_t, NumPorts> ranks;
+            unsigned n = 0;
+            for (std::uint32_t m = req; m; m &= m - 1) {
+                idx[n] = static_cast<unsigned>(std::countr_zero(m));
+                ranks[n] = local[idx[n]].rank;
+                ++n;
             }
+            p = static_cast<unsigned>(saGlobalArb_[op].pickSparse(
+                {idx.data(), n}, {ranks.data(), n}));
+            if (check_ && check_->wantsArbitration()) {
+                std::vector<const Packet *> cands(NumPorts, nullptr);
+                for (unsigned i = 0; i < n; ++i)
+                    cands[idx[i]] = vcAt(idx[i], local[idx[i]].inVc)
+                                        .front().flit.pkt.get();
+                check_->onArbGrant(id_, "sa-global", cands, p, now);
+            }
+            stats_.saConflictLosses += count - 1;
         }
-        if (count == 0)
-            continue;
-        int winner = count == 1 ? saGlobalArb_[op].grantSingle(lastP)
-                                : saGlobalArb_[op].pick(ranks);
-        if (winner < 0)
-            continue;
-        if (count > 1 && check_ && check_->wantsArbitration()) {
-            std::vector<const Packet *> cands(NumPorts, nullptr);
-            for (unsigned pp = 0; pp < NumPorts; ++pp)
-                if (local[pp].valid && local[pp].outPort == op)
-                    cands[pp] = inputs_[pp].vcs[local[pp].inVc]
-                                    .front().flit.pkt.get();
-            check_->onArbGrant(id_, "sa-global", cands,
-                               static_cast<unsigned>(winner), now);
-        }
-        if (count > 1)
-            for (unsigned p = 0; p < NumPorts; ++p)
-                if (local[p].valid && local[p].outPort == op &&
-                    p != static_cast<unsigned>(winner))
-                    ++stats_.saConflictLosses;
-
         // Switch traversal for the winner.
-        unsigned p = static_cast<unsigned>(winner);
-        auto &vc = inputs_[p].vcs[local[p].inVc];
-        BufferedFlit bf = vc.fifo.front();
-        vc.fifo.pop_front();
-        --buffered_;
-        if (check_)
-            check_->onVcPop(id_, p, local[p].inVc, bf.flit, now);
-
-        Flit out = bf.flit;
-        out.vc = static_cast<unsigned>(vc.outVc);
-
-        if (!outLinks_[op])
-            ocor_panic("router %u: traversal to unattached port %u",
-                       id_, op);
-        outLinks_[op]->sendFlit(out, now);
-        auto &ovc = outputs_[op].vcs[vc.outVc];
-        --ovc.credits;
-        if (check_)
-            check_->onTraversal(id_, op, out.vc, now);
-
-        // Return the freed buffer slot upstream.
-        if (inLinks_[p])
-            inLinks_[p]->sendCredit(local[p].inVc, now);
-
-        ++stats_.saGrants;
-        ++stats_.flitsRouted;
-        if (isLockProtocol(out.pkt->type))
-            ++stats_.lockFlitsRouted;
-        if (trace_ && out.isHead())
-            trace_->record(
-                TraceCat::Noc, TraceEv::SaGrant, now, id_,
-                invalidThread, 0, out.pkt->id,
-                static_cast<std::uint32_t>(out.pkt->type),
-                static_cast<std::uint32_t>(local[p].rank));
-
-        if (out.isTail()) {
-            ovc.allocated = false; // VC reusable by the next packet
-            vc.reset();
-            --saPending_;
-            --saPendingPort_[p];
-            // Anything left in the FIFO is the next packet, so its
-            // head is now at the front awaiting VA.
-            if (!vc.fifo.empty()) {
-                ++vaPending_;
-                ++vaPendingPort_[p];
-            }
-        }
+        traverse(p, local[p].inVc, local[p].rank, now);
     }
 }
 
@@ -408,14 +378,13 @@ Router::tickEvent(Cycle now)
     }
     if (buffered_ == 0)
         return;
-    // With no unallocated head anywhere, vcAllocation() degenerates
-    // to a candidate scan that finds nothing (route computation only
-    // runs for counted candidates), and with no allocated VC,
-    // switchAllocation() finds no local-stage candidate: both are
-    // provable no-ops, so the gates cannot change behavior.
-    if (vaPending_ > 0)
+    // With no unallocated head anywhere, vcAllocation() finds no
+    // candidate, and with no allocated VC, switchAllocation() finds
+    // no local-stage candidate: both are provable no-ops, so the
+    // gates cannot change behavior.
+    if (vaPorts_ != 0)
         vcAllocation(now);
-    if (saPending_ > 0)
+    if (saPorts_ != 0)
         switchAllocation(now);
 }
 

@@ -58,6 +58,10 @@ class Router
     Router(NodeId id, const MeshShape &mesh, const NocParams &params,
            const OcorConfig &ocor);
 
+    /** The VC rings point into slab_: a Router never moves. */
+    Router(const Router &) = delete;
+    Router &operator=(const Router &) = delete;
+
     /**
      * Wire one port. @p in_link delivers flits *to* this router (we
      * send credits back on it); @p out_link carries flits we send
@@ -72,12 +76,13 @@ class Router
     /**
      * Event-core variant of tick(): behaviorally identical, but each
      * stage runs only when it provably has work. Link polls are gated
-     * by the O(1) Link due tests, VA by vaPending_ (some input VC has
-     * an unallocated head flit at its front) and SA by saPending_
-     * (some input VC holds an allocated downstream VC). A skipped
-     * stage would have been a pure no-op — no state change, no
-     * arbiter pointer movement, no stats/trace/checker callbacks —
-     * so the two tick flavors stay bit-identical by construction.
+     * by the O(1) Link due tests, VA by the VA-ready masks (some
+     * input VC has an unallocated head flit at its front) and SA by
+     * the SA-active masks (some input VC holds an allocated
+     * downstream VC). A skipped stage would have been a pure no-op —
+     * no state change, no arbiter pointer movement, no
+     * stats/trace/checker callbacks — so the two tick flavors stay
+     * bit-identical by construction.
      */
     void tickEvent(Cycle now);
 
@@ -100,40 +105,104 @@ class Router
 
     /**
      * Test hook: swap the two oldest buffered flits of one input VC,
-     * violating FIFO order. Seeded-violation tests only.
+     * violating FIFO order, and re-cache the front packet's rank.
+     * Seeded-violation tests only.
      */
     void testSwapVcFlits(unsigned port, unsigned v);
 
     /** Buffered flit count (for drain checks and tests). */
     unsigned occupancy() const;
 
-    /** O(1) any-buffered-flit test (event-core wakeup plumbing):
-     * a router with no buffered flits has nothing to arbitrate, so
-     * ticking it is a no-op. */
-    bool busy() const { return buffered_ > 0; }
+    /**
+     * Count this router in @p *busy while it buffers a flit: the
+     * Network's O(1) "some router is busy" test (event-core wakeup
+     * plumbing; a router with no buffered flits has nothing to
+     * arbitrate). Attach while empty.
+     */
+    void setBusyCounter(unsigned *busy) { busyCounter_ = busy; }
+
+    /** Flits buffered in one input VC. */
+    unsigned vcOccupancy(unsigned port, unsigned v) const
+    {
+        return vcAt(port, v).fifo.size();
+    }
 
     /** Direct VC inspection for white-box tests. */
     const VcState &vc(unsigned port, unsigned v) const
     {
-        return inputs_[port].vcs[v];
+        return vcAt(port, v);
+    }
+
+    /** White-box view of the allocation state (see vaReady_). */
+    std::uint32_t vaReadyMask(unsigned port) const
+    {
+        return vaReady_[port];
+    }
+    std::uint32_t saActiveMask(unsigned port) const
+    {
+        return saActive_[port];
+    }
+    const OutputUnit &output(unsigned port) const
+    {
+        return outputs_[port];
     }
 
   private:
+    VcState &vcAt(unsigned port, unsigned v)
+    {
+        return vcs_[port * params_.numVcs + v];
+    }
+    const VcState &vcAt(unsigned port, unsigned v) const
+    {
+        return vcs_[port * params_.numVcs + v];
+    }
+
     void deliverIncoming(Cycle now);
     void acceptCredits(unsigned port, Cycle now);
     void acceptFlits(unsigned port, Cycle now);
     void vcAllocation(Cycle now);
     void switchAllocation(Cycle now);
+    void grantVc(unsigned port, unsigned v, unsigned out_port,
+                 Cycle now);
+    void traverse(unsigned port, unsigned v, std::int64_t rank,
+                  Cycle now);
 
-    /** Table-1 rank of the packet at the head of an input VC. */
-    std::int64_t headRank(const VcState &vc) const;
+    /** A head flit is now at the front of input VC (@p port, @p v):
+     * compute its route and cache its rank; it awaits VA. */
+    void headAtFront(unsigned port, unsigned v);
+
+    /** Rank fed to the arbiters for the front packet of @p vc. */
+    std::int64_t
+    headRank(const VcState &vc) const
+    {
+        return testInvertArb_ ? (std::int64_t{1} << 20) - vc.rank
+                              : vc.rank;
+    }
+
+    void
+    setBit(std::array<std::uint32_t, NumPorts> &mask,
+           std::uint32_t &ports, unsigned p, unsigned v)
+    {
+        mask[p] |= std::uint32_t{1} << v;
+        ports |= 1u << p;
+    }
+    void
+    clearBit(std::array<std::uint32_t, NumPorts> &mask,
+             std::uint32_t &ports, unsigned p, unsigned v)
+    {
+        mask[p] &= ~(std::uint32_t{1} << v);
+        if (mask[p] == 0)
+            ports &= ~(1u << p);
+    }
 
     NodeId id_;
     MeshShape mesh_;
     NocParams params_;
     const OcorConfig &ocor_;
 
-    std::vector<InputUnit> inputs_;
+    /** Input VCs, port-major: VC v of port p is vcs_[p * numVcs + v]
+     * (the VA arbiters' input index). */
+    std::vector<VcState> vcs_;
     std::vector<OutputUnit> outputs_;
     std::array<Link *, NumPorts> inLinks_{};
     std::array<Link *, NumPorts> outLinks_{};
@@ -146,33 +215,33 @@ class Router
 
     /** Buffered flits across all input VCs (fast-path early out). */
     unsigned buffered_ = 0;
+    unsigned *busyCounter_ = nullptr;
+
+    /** Backing store of every input VC ring: port-major, then VC,
+     * vcDepth slots each. */
+    std::vector<BufferedFlit> slab_;
 
     /**
-     * Incremental allocation-stage work counters, maintained at every
-     * VC state transition (flit push, VA grant, tail traversal) and
-     * consulted only by tickEvent(). vaPending_ counts input VCs
-     * whose front flit is an unallocated head (VA candidates, once
-     * their pipeline delay elapses); saPending_ counts input VCs with
-     * an allocated downstream VC (outVc >= 0), i.e. packets still
-     * traversing. Both are conservative over-approximations of
-     * "stage can act this cycle" (pipeline timing and credit
-     * availability are not folded in), which is exactly what a no-op
-     * gate needs.
+     * Ready masks, maintained at every VC state transition (a head
+     * reaching the front, a VA grant, a tail traversal):
+     *  - vaReady_[p] bit v: input VC v of port p is non-empty, its
+     *    front flit is a head, and it holds no downstream VC (a VA
+     *    candidate once its pipeline delay elapses);
+     *  - saActive_[p] bit v: that VC holds a downstream VC
+     *    (outVc >= 0), i.e. its packet is still traversing.
+     * vaPorts_/saPorts_ have bit p set iff the port's mask is
+     * non-zero. VA and SA walk only set bits, so they skip idle
+     * ports and VCs outright; tickEvent() skips a stage whose port
+     * set is empty. Both are over-approximations of "stage can act
+     * this cycle" (pipeline timing and credits are not folded in),
+     * which is what a no-op gate needs.
      */
-    unsigned vaPending_ = 0;
-    unsigned saPending_ = 0;
+    std::array<std::uint32_t, NumPorts> vaReady_{};
+    std::array<std::uint32_t, NumPorts> saActive_{};
+    std::uint32_t vaPorts_ = 0;
+    std::uint32_t saPorts_ = 0;
 
-    /** Same counters broken down by input port, so the allocation
-     * scans can skip whole ports (the common case is 1-2 active
-     * ports out of 5 even in a busy router). */
-    std::array<unsigned, NumPorts> vaPendingPort_{};
-    std::array<unsigned, NumPorts> saPendingPort_{};
-
-    /** Per-cycle scratch (avoids hot-loop allocation). */
-    static constexpr unsigned maxVcs = 16;
-    std::array<std::int64_t, NumPorts * maxVcs> vaRanks_{};
-    std::array<std::int64_t, maxVcs> saLocalRanks_{};
-    std::array<std::int64_t, NumPorts> saGlobalRanks_{};
+    static constexpr unsigned maxVcs = OutputUnit::maxVcs;
 
     Tracer *trace_ = nullptr;
     CheckerRegistry *check_ = nullptr;

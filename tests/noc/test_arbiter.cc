@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/rng.hh"
 #include "noc/arbiter.hh"
 
 using namespace ocor;
@@ -110,6 +111,34 @@ TEST(Arbiter, GrantSingleWrapsPointer)
     Arbiter arb(4);
     EXPECT_EQ(arb.grantSingle(3), 3);
     EXPECT_EQ(arb.pointer(), 0u); // (3 + 1) % 4
+}
+
+TEST(Arbiter, PickSparseMatchesDensePick)
+{
+    // The router arbitrates over sparse candidate lists; they must
+    // pick exactly what the dense pick() picks and leave the pointer
+    // in the same place, round after round.
+    Rng rng(11);
+    for (unsigned n : {1u, 5u, 6u, 30u}) {
+        Arbiter dense(n);
+        Arbiter sparse(n);
+        for (int round = 0; round < 2000; ++round) {
+            std::vector<std::int64_t> ranks(n, -1);
+            std::vector<unsigned> idx;
+            std::vector<std::int64_t> req;
+            for (unsigned i = 0; i < n; ++i) {
+                if (!rng.chance(0.4))
+                    continue;
+                // Few distinct ranks, so ties are common.
+                ranks[i] = static_cast<std::int64_t>(rng.range(3));
+                idx.push_back(i);
+                req.push_back(ranks[i]);
+            }
+            ASSERT_EQ(sparse.pickSparse(idx, req), dense.pick(ranks))
+                << "n " << n << " round " << round;
+            ASSERT_EQ(sparse.pointer(), dense.pointer());
+        }
+    }
 }
 
 TEST(ArbiterDeath, GrantSingleOutOfRangePanics)

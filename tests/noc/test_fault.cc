@@ -192,10 +192,10 @@ TEST(FaultLink, DropConsumesPacketAndSynthesizesCredits)
         f.vc = 2;
         link.sendFlit(f, i);
         EXPECT_FALSE(link.takeFlit(i + 1).has_value());
-        for (unsigned vc : link.takeCredits(i + 1)) {
+        link.drainCredits(i + 1, [&](unsigned vc) {
             EXPECT_EQ(vc, 2u);
             ++credits;
-        }
+        });
     }
     // Every flit vanished, yet every buffer credit the sender debited
     // came back: flow control cannot leak.

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "noc/link.hh"
 
 using namespace ocor;
@@ -19,6 +21,15 @@ makeFlit(unsigned vc = 0)
     f.type = FlitType::HeadTail;
     f.vc = vc;
     return f;
+}
+
+/** Every credit the link delivers at @p now, in send order. */
+std::vector<unsigned>
+takeCredits(Link &link, Cycle now)
+{
+    std::vector<unsigned> out;
+    link.drainCredits(now, [&](unsigned vc) { out.push_back(vc); });
+    return out;
 }
 } // namespace
 
@@ -59,12 +70,12 @@ TEST(Link, CreditsDeliveredAfterLatency)
     Link link(1);
     link.sendCredit(3, 5);
     link.sendCredit(4, 5); // multiple credits per cycle are fine
-    EXPECT_TRUE(link.takeCredits(5).empty());
-    auto credits = link.takeCredits(6);
+    EXPECT_TRUE(takeCredits(link, 5).empty());
+    auto credits = takeCredits(link, 6);
     ASSERT_EQ(credits.size(), 2u);
     EXPECT_EQ(credits[0], 3u);
     EXPECT_EQ(credits[1], 4u);
-    EXPECT_TRUE(link.takeCredits(7).empty());
+    EXPECT_TRUE(takeCredits(link, 7).empty());
 }
 
 TEST(Link, IdleTracksOccupancy)
@@ -77,7 +88,7 @@ TEST(Link, IdleTracksOccupancy)
     EXPECT_TRUE(link.idle());
     link.sendCredit(0, 2);
     EXPECT_FALSE(link.idle());
-    (void)link.takeCredits(3);
+    (void)takeCredits(link, 3);
     EXPECT_TRUE(link.idle());
 }
 
@@ -86,6 +97,16 @@ TEST(LinkDeath, TwoFlitsSameCyclePanics)
     Link link(1);
     link.sendFlit(makeFlit(), 0);
     EXPECT_DEATH(link.sendFlit(makeFlit(), 0), "two flits");
+}
+
+TEST(LinkDeath, FlitsBeyondCapacityPanic)
+{
+    // The wire holds at most as many flits as the downstream port
+    // has buffer slots; a sender ignoring credits overflows it.
+    Link link(1, 2);
+    link.sendFlit(makeFlit(), 0);
+    link.sendFlit(makeFlit(), 1);
+    EXPECT_DEATH(link.sendFlit(makeFlit(), 2), "Ring: overflow");
 }
 
 TEST(LinkDeath, MissedDeliveryPanics)

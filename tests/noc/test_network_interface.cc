@@ -110,8 +110,7 @@ TEST(NetworkInterface, ReassemblesIncomingPacket)
     // One credit returned per consumed flit.
     unsigned credits = 0;
     for (Cycle c = 0; c <= 13; ++c)
-        credits += static_cast<unsigned>(
-            rig.fromRouter.takeCredits(c).size());
+        rig.fromRouter.drainCredits(c, [&](unsigned) { ++credits; });
     EXPECT_EQ(credits, 8u);
 }
 

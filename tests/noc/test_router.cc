@@ -104,9 +104,10 @@ TEST(Router, CreditReturnedWhenFlitLeaves)
     bool credit_seen = false;
     for (Cycle c = 1; c <= 10; ++c) {
         rig.router->tick(c);
-        for (unsigned vc : rig.intoWest.takeCredits(c))
+        rig.intoWest.drainCredits(c, [&](unsigned vc) {
             if (vc == 2)
                 credit_seen = true;
+        });
     }
     EXPECT_TRUE(credit_seen);
 }
@@ -152,8 +153,8 @@ TEST(Router, BackpressureLimitsInFlightFlits)
     unsigned exited = 0;
     unsigned upstream_credits = rig.params.vcDepth;
     for (Cycle c = 0; c <= 100; ++c) {
-        upstream_credits +=
-            static_cast<unsigned>(rig.intoWest.takeCredits(c).size());
+        rig.intoWest.drainCredits(c,
+                                  [&](unsigned) { ++upstream_credits; });
         if (sent < 8 && upstream_credits > 0) {
             rig.sendFlit(rig.intoWest, pkt, sent, 0, c);
             ++sent;

@@ -119,12 +119,10 @@ TEST(RouterStress, SaturationLongRunConservesFlits)
 
     unsigned seq = 0;
     for (Cycle c = 0; c < 5000; ++c) {
-        for (unsigned v :
-             rig.intoWest.takeCredits(c))
-            ++west_credits[v];
-        for (unsigned v :
-             rig.intoLocal.takeCredits(c))
-            ++local_credits[v];
+        rig.intoWest.drainCredits(c,
+                                  [&](unsigned v) { ++west_credits[v]; });
+        rig.intoLocal.drainCredits(
+            c, [&](unsigned v) { ++local_credits[v]; });
 
         unsigned vc = seq % rig.params.numVcs;
         if (west_credits[vc] > 0) {
@@ -175,10 +173,8 @@ TEST(RouterStress, FairnessUnderSymmetricLoad)
         wc[v] = lc[v] = rig.params.vcDepth;
 
     for (Cycle c = 0; c < 4000; ++c) {
-        for (unsigned v : rig.intoWest.takeCredits(c))
-            ++wc[v];
-        for (unsigned v : rig.intoLocal.takeCredits(c))
-            ++lc[v];
+        rig.intoWest.drainCredits(c, [&](unsigned v) { ++wc[v]; });
+        rig.intoLocal.drainCredits(c, [&](unsigned v) { ++lc[v]; });
         unsigned vc = static_cast<unsigned>(c) % rig.params.numVcs;
         if (wc[vc] > 0) {
             auto pkt = makePacket(MsgType::GetS, 0, 1, 0x80);

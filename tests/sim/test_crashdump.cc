@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include "sim/crashdump.hh"
+#include "temp_path.hh"
 #include "workload/benchmarks.hh"
 
 using namespace ocor;
@@ -34,12 +35,7 @@ class CrashDumpTest : public ::testing::Test
     void
     SetUp() override
     {
-        // Per-test file: parallel ctest processes must not collide.
-        path_ = ::testing::TempDir() + "ocor_crash_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".dump";
+        path_ = testTempPath(".dump");
         std::remove(path_.c_str());
     }
 

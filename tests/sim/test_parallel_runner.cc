@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/parallel_runner.hh"
+#include "temp_path.hh"
 
 using namespace ocor;
 
@@ -156,8 +157,7 @@ TEST(ParallelRunner, RunTimingAndPoolStatsAccumulate)
 
 TEST(ParallelRunner, SharedCacheDeduplicatesAcrossRequests)
 {
-    std::string path = ::testing::TempDir()
-        + "ocor_runner_cache_test.tsv";
+    std::string path = testTempPath(".tsv");
     std::remove(path.c_str());
     {
         ResultCache cache(path);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sim/result_cache.hh"
+#include "temp_path.hh"
 
 using namespace ocor;
 
@@ -24,7 +25,7 @@ class ResultCacheTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "ocor_cache_test.tsv";
+        path_ = testTempPath(".tsv");
         std::remove(path_.c_str());
     }
 

@@ -15,6 +15,7 @@
 
 #include "common/stats_registry.hh"
 #include "sim/result_cache.hh"
+#include "temp_path.hh"
 
 using namespace ocor;
 
@@ -27,13 +28,7 @@ class ResultCacheJournalTest : public ::testing::Test
     void
     SetUp() override
     {
-        // Per-test file: ctest runs each test as its own process,
-        // possibly in parallel, so a shared name would collide.
-        path_ = ::testing::TempDir() + "ocor_journal_" +
-                ::testing::UnitTest::GetInstance()
-                    ->current_test_info()
-                    ->name() +
-                ".tsv";
+        path_ = testTempPath(".tsv");
         std::remove(path_.c_str());
     }
 

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "sim/parallel_runner.hh"
+#include "temp_path.hh"
 #include "workload/benchmarks.hh"
 
 using namespace ocor;
@@ -209,8 +210,7 @@ TEST(ParallelRunnerSupervisionTest, CancelledResultsAreNeverCached)
 {
     // A deadline abort must not poison the cache: the next attempt
     // re-simulates instead of recalling partial metrics.
-    const std::string path =
-        ::testing::TempDir() + "ocor_supervision_cache.tsv";
+    const std::string path = testTempPath(".tsv");
     std::remove(path.c_str());
     ResultCache cache(path);
 
