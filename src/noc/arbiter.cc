@@ -118,9 +118,8 @@ lpaSelect(const OcorConfig &cfg, const std::vector<LpaInput> &inputs)
     unsigned prog_level = cfg.numProgressLevels - 1
         - onehotDecode(best_prog);
     unsigned prio_level = onehotDecode(best_prio);
-    unsigned ext = 1 + prio_level + (cfg.numRtrLevels + 2) * prog_level;
-
-    res.highestLevel = OneHot{1} << ext;
+    res.highestLevel =
+        1 + prio_level + (cfg.numRtrLevels + 2) * prog_level;
     res.indexMask = mask;
     return res;
 }

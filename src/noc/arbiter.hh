@@ -87,11 +87,13 @@ struct LpaInput
 struct LpaResult
 {
     /**
-     * Highest priority level present among valid inputs, as a one-hot
-     * word over the *extended* level space (progress-major). Zero
-     * when only normal packets (or nothing) request.
+     * Highest priority level present among valid inputs, as a level
+     * number in the *extended* level space (progress-major, 1-based:
+     * numProgressLevels x (numRtrLevels + 2) levels can exceed a
+     * 64-bit one-hot word). Zero when only normal packets (or
+     * nothing) request.
      */
-    OneHot highestLevel = 0;
+    unsigned highestLevel = 0;
 
     /** Bit i set iff input i carries the highest priority. */
     std::uint64_t indexMask = 0;

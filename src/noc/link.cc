@@ -9,7 +9,7 @@ namespace ocor
 void
 Link::pushCredit(unsigned vc, Cycle at)
 {
-    noteMaybeBusy();
+    creditSink_.mark();
     if (credits_.empty())
         creditAt_ = at;
     credits_.push({at, vc});
@@ -63,7 +63,7 @@ Link::sendFlit(Flit flit, Cycle now)
         at = std::max(now + latency_ + extra, lastArrival_ + 1);
         lastArrival_ = at;
     }
-    noteMaybeBusy();
+    flitSink_.mark();
     if (flits_.empty())
         flitAt_ = at;
     flits_.push({at, std::move(flit)});
@@ -76,7 +76,6 @@ Link::popFlit(Cycle now)
         ocor_panic("Link: flit missed its delivery cycle");
     Flit f = flits_.pop().flit;
     flitAt_ = flits_.empty() ? neverCycle : flits_.front().at;
-    noteMaybeIdle();
     if (check_)
         check_->onLinkFlitDelivered();
     return f;

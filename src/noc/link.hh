@@ -15,6 +15,7 @@
 #include <set>
 #include <vector>
 
+#include "common/active_set.hh"
 #include "common/types.hh"
 #include "noc/fault.hh"
 #include "noc/flit.hh"
@@ -71,6 +72,20 @@ class Link
      * wire-level flit conservation ledger. */
     void setChecker(CheckerRegistry *c) { check_ = c; }
 
+    /**
+     * Name the agents that consume this link: every flit put on the
+     * wire marks @p flit_sink (the downstream agent) and every
+     * credit, including one synthesized for a dropped flit, marks
+     * @p credit_sink (the upstream agent). The Network's active sets
+     * are built from these marks.
+     */
+    void
+    setSinks(ActiveSet::Member flit_sink, ActiveSet::Member credit_sink)
+    {
+        flitSink_ = flit_sink;
+        creditSink_ = credit_sink;
+    }
+
     /** Upstream puts a flit on the wire during cycle @p now. */
     void sendFlit(Flit flit, Cycle now);
 
@@ -98,20 +113,15 @@ class Link
             unsigned vc = credits_.pop().vc;
             creditAt_ = credits_.empty() ? neverCycle
                                          : credits_.front().at;
-            noteMaybeIdle();
             fn(vc);
         }
     }
 
     unsigned latency() const { return latency_; }
     bool idle() const { return flits_.empty() && credits_.empty(); }
-
-    /**
-     * Count this link in @p *active while it is not idle(): the
-     * Network's O(1) "some link carries something" test. Must be
-     * attached while the link is idle.
-     */
-    void setActivityCounter(unsigned *active) { active_ = active; }
+    /** A flit (resp. credit) is on the wire, due or not. */
+    bool carriesFlit() const { return !flits_.empty(); }
+    bool carriesCredit() const { return !credits_.empty(); }
 
     /**
      * O(1) event-core due tests. Arrival cycles are monotone within
@@ -143,23 +153,10 @@ class Link
     void pushCredit(unsigned vc, Cycle at);
     Flit popFlit(Cycle now);
 
-    /** Activity bookkeeping around every push and pop. */
-    void
-    noteMaybeBusy()
-    {
-        if (active_ && idle())
-            ++*active_;
-    }
-    void
-    noteMaybeIdle()
-    {
-        if (active_ && idle())
-            --*active_;
-    }
-
     unsigned latency_;
     CheckerRegistry *check_ = nullptr;
-    unsigned *active_ = nullptr;
+    ActiveSet::Member flitSink_;
+    ActiveSet::Member creditSink_;
     std::uint64_t flitsCarried_ = 0;
     Cycle lastFlitSend_ = neverCycle;
     Cycle flitAt_ = neverCycle;

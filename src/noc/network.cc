@@ -10,7 +10,8 @@ namespace ocor
 
 Network::Network(const MeshShape &mesh, const NocParams &params,
                  const OcorConfig &ocor, FaultInjector *fault)
-    : mesh_(mesh), params_(params), ocor_(ocor)
+    : mesh_(mesh), params_(params), ocor_(ocor),
+      activeRouters_(mesh.numNodes()), activeNis_(mesh.numNodes())
 {
     const unsigned n = mesh.numNodes();
     routers_.reserve(n);
@@ -18,27 +19,32 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
     for (NodeId i = 0; i < n; ++i) {
         routers_.push_back(
             std::make_unique<Router>(i, mesh, params, ocor));
-        routers_.back()->setBusyCounter(&busyRouters_);
         nis_.push_back(
             std::make_unique<NetworkInterface>(i, params, ocor));
         if (fault) {
             nis_[i]->setFaultInjector(fault);
+            // An ack can leave the source NI with nothing to do.
             nis_[i]->setAckChannel(
                 [this](NodeId src, std::uint64_t seq, Cycle now) {
                     nis_[src]->onAcked(seq, now);
+                    settleNi(src);
                 });
         }
     }
 
+    // A link's flits go to @p down and its credits to @p up.
     unsigned next_link_id = 0;
-    auto new_link = [&]() {
+    auto new_link = [&](ActiveSet::Member up, ActiveSet::Member down) {
         links_.push_back(std::make_unique<Link>(
             params.linkLatency, linkCapacity(params)));
-        links_.back()->setActivityCounter(&activeLinks_);
+        links_.back()->setSinks(down, up);
         if (fault)
             links_.back()->setFaultInjector(fault, next_link_id);
         ++next_link_id;
         return links_.back().get();
+    };
+    auto router = [&](NodeId i) {
+        return ActiveSet::Member{&activeRouters_, i};
     };
 
     // Inter-router links: create one per directed adjacency, wiring
@@ -46,15 +52,15 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
     for (NodeId i = 0; i < n; ++i) {
         NodeId east = mesh.neighbor(i, PortEast);
         if (east != invalidNode) {
-            Link *i_to_e = new_link();
-            Link *e_to_i = new_link();
+            Link *i_to_e = new_link(router(i), router(east));
+            Link *e_to_i = new_link(router(east), router(i));
             routers_[i]->attach(PortEast, e_to_i, i_to_e);
             routers_[east]->attach(PortWest, i_to_e, e_to_i);
         }
         NodeId south = mesh.neighbor(i, PortSouth);
         if (south != invalidNode) {
-            Link *i_to_s = new_link();
-            Link *s_to_i = new_link();
+            Link *i_to_s = new_link(router(i), router(south));
+            Link *s_to_i = new_link(router(south), router(i));
             routers_[i]->attach(PortSouth, s_to_i, i_to_s);
             routers_[south]->attach(PortNorth, i_to_s, s_to_i);
         }
@@ -62,8 +68,9 @@ Network::Network(const MeshShape &mesh, const NocParams &params,
 
     // NI <-> router local port.
     for (NodeId i = 0; i < n; ++i) {
-        Link *ni_to_r = new_link();
-        Link *r_to_ni = new_link();
+        const ActiveSet::Member ni{&activeNis_, i};
+        Link *ni_to_r = new_link(ni, router(i));
+        Link *r_to_ni = new_link(router(i), ni);
         routers_[i]->attach(PortLocal, ni_to_r, r_to_ni);
         nis_[i]->attach(ni_to_r, r_to_ni);
     }
@@ -173,6 +180,7 @@ Network::send(const PacketPtr &pkt, Cycle now)
             tdelay = extra * (windowClosedAt_ + horizon - now) / horizon;
         at = now + std::max(qdelay, tdelay);
     }
+    activeNis_.insert(pkt->src);
     nis_[pkt->src]->inject(pkt, at);
 }
 
@@ -243,10 +251,19 @@ Network::tick(Cycle now)
     if (!fastQueue_.empty())
         drainFastpath(now);
     // Legacy exact path: every component every cycle, by definition.
-    for (auto &r : routers_)  // simlint: allow(unconditional-tick)
-        r->tick(now);
-    for (auto &ni : nis_)  // simlint: allow(unconditional-tick)
-        ni->tick(now);
+    // The active sets are kept exact here too: the legacy core's
+    // drain checks read them.
+    const auto n = static_cast<NodeId>(routers_.size());
+    for (NodeId i = 0; i < n; ++i) {  // simlint: allow(unconditional-tick)
+        routers_[i]->tick(now);
+        settleRouter(i);
+    }
+    for (NodeId i = 0; i < n; ++i) {  // simlint: allow(unconditional-tick)
+        nis_[i]->tick(now);
+        settleNi(i);
+    }
+    routersTicked_ += n;
+    nisTicked_ += n;
 }
 
 void
@@ -254,22 +271,37 @@ Network::tickEvent(Cycle now)
 {
     if (!fastQueue_.empty())
         drainFastpath(now);
-    for (auto &r : routers_)
-        r->tickEvent(now);
-    for (auto &ni : nis_)
-        ni->tickEvent(now);
+    // next() reads the live words: a router or NI marked ahead of
+    // the walk (by a link push this cycle) is still visited, exactly
+    // as the full walk would visit it.
+    for (unsigned i = activeRouters_.next(0); i != ActiveSet::npos;
+         i = activeRouters_.next(i + 1)) {
+        routers_[i]->tickEvent(now);
+        settleRouter(i);
+        ++routersTicked_;
+    }
+    for (unsigned i = activeNis_.next(0); i != ActiveSet::npos;
+         i = activeNis_.next(i + 1)) {
+        nis_[i]->tickEvent(now);
+        settleNi(i);
+        ++nisTicked_;
+    }
 }
 
 Cycle
 Network::nextWake(Cycle now) const
 {
-    if (busyRouters_ > 0 || activeLinks_ > 0)
+    // An active router, or an active NI whose links are not idle,
+    // has a flit or credit in the pipeline, which advances next
+    // cycle.
+    if (!activeRouters_.empty())
         return now + 1;
     Cycle w = neverCycle;
-    for (const auto &ni : nis_) {
-        Cycle n = ni->nextWake(now);
-        if (n < w)
-            w = n;
+    for (unsigned i = activeNis_.next(0); i != ActiveSet::npos;
+         i = activeNis_.next(i + 1)) {
+        if (!nis_[i]->linksIdle())
+            return now + 1;
+        w = std::min(w, nis_[i]->nextWake(now));
     }
     if (!fastQueue_.empty())
         w = std::min(w, fastQueue_.top().at);
@@ -294,13 +326,22 @@ netWakeReasonName(NetWakeReason r)
 NetWakeReason
 Network::wakeReason(Cycle now) const
 {
-    if (busyRouters_ > 0)
-        return NetWakeReason::RouterBusy;
-    if (activeLinks_ > 0)
+    // Every non-empty link marks its consumer, so with no active
+    // router a busy link shows up on an active NI.
+    if (!activeRouters_.empty()) {
+        for (unsigned i = activeRouters_.next(0); i != ActiveSet::npos;
+             i = activeRouters_.next(i + 1))
+            if (routers_[i]->occupancy() > 0)
+                return NetWakeReason::RouterBusy;
         return NetWakeReason::LinkBusy;
+    }
     Cycle ni_wake = neverCycle;
-    for (const auto &ni : nis_)
-        ni_wake = std::min(ni_wake, ni->nextWake(now));
+    for (unsigned i = activeNis_.next(0); i != ActiveSet::npos;
+         i = activeNis_.next(i + 1)) {
+        if (!nis_[i]->linksIdle())
+            return NetWakeReason::LinkBusy;
+        ni_wake = std::min(ni_wake, nis_[i]->nextWake(now));
+    }
     if (!fastQueue_.empty() && fastQueue_.top().at <= ni_wake)
         return NetWakeReason::Fastpath;
     if (ni_wake != neverCycle)
@@ -320,12 +361,8 @@ Network::finalizeWindows(Cycle now)
 bool
 Network::idle() const
 {
-    if (busyRouters_ > 0 || activeLinks_ > 0)
-        return false;
-    for (const auto &ni : nis_)
-        if (!ni->idle())
-            return false;
-    return fastQueue_.empty();
+    return activeRouters_.empty() && activeNis_.empty() &&
+           fastQueue_.empty();
 }
 
 void

@@ -10,6 +10,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/active_set.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/ocor_config.hh"
@@ -97,30 +98,43 @@ class Network
     /** Stamp-and-send convenience used by all node logic. */
     void send(const PacketPtr &pkt, Cycle now);
 
+    /** Tick every router, then every NI (the reference walk). */
     void tick(Cycle now);
 
     /**
-     * Event-core variant of tick(): same router-then-NI walk order,
-     * but each router and NI is entered through its own gated
-     * tickEvent so fully idle nodes cost a handful of compares
-     * instead of full allocation-stage scans. Bit-identical to
-     * tick() by construction (every elided stage is a provable
-     * no-op).
+     * Event-core variant of tick(): the same router-then-NI order,
+     * but only over the active sets, and each member is entered
+     * through its own gated tickEvent. A router or NI outside its
+     * set is quiescent, so its tick would be a no-op: the walk is
+     * bit-identical to tick() by construction.
      */
     void tickEvent(Cycle now);
 
     /**
      * Earliest future cycle tick() could do any work, seen from
-     * cycle @p now (neverCycle = fully drained). While any router
-     * buffers a flit or any link carries a flit/credit the answer is
+     * cycle @p now (neverCycle = fully drained). While a router is
+     * active or an active NI's links carry anything the answer is
      * conservatively now + 1 (pipeline stages advance every cycle);
-     * otherwise only NI-local queues can create work, and their
-     * per-NI minima apply. Never returns a cycle <= now.
+     * otherwise only NI-local queues can create work, and the
+     * active NIs' minima apply. Never returns a cycle <= now.
      */
     Cycle nextWake(Cycle now) const;
 
     /** All buffers and links empty (drain check). */
     bool idle() const;
+
+    /**
+     * The active sets: bit n is set iff router (resp. NI) n is not
+     * quiescent(). A link push marks its consumer, Network::send
+     * marks the source NI, and a router or NI leaves its set after
+     * the tick that makes it quiescent.
+     */
+    const ActiveSet &activeRouters() const { return activeRouters_; }
+    const ActiveSet &activeNis() const { return activeNis_; }
+
+    /** Router and NI ticks performed (work counters). */
+    std::uint64_t routersTicked() const { return routersTicked_; }
+    std::uint64_t nisTicked() const { return nisTicked_; }
 
     /** First matching clause of nextWake()'s scan at cycle @p now
      * (wake-profiler attribution; same walk order as nextWake). */
@@ -190,6 +204,20 @@ class Network
     void fastSend(const PacketPtr &pkt, Cycle now);
     void drainFastpath(Cycle now);
 
+    /** Drop router / NI @p n from its active set if quiescent. */
+    void
+    settleRouter(NodeId n)
+    {
+        if (routers_[n]->quiescent())
+            activeRouters_.erase(n);
+    }
+    void
+    settleNi(NodeId n)
+    {
+        if (nis_[n]->quiescent())
+            activeNis_.erase(n);
+    }
+
     MeshShape mesh_;
     NocParams params_;
     const OcorConfig &ocor_;
@@ -198,11 +226,10 @@ class Network
     std::vector<std::unique_ptr<NetworkInterface>> nis_;
     std::vector<std::unique_ptr<Link>> links_;
 
-    /** Routers with a buffered flit and links with a flit or credit
-     * in flight, kept by the routers and links themselves on every
-     * empty <-> non-empty transition. */
-    unsigned busyRouters_ = 0;
-    unsigned activeLinks_ = 0;
+    ActiveSet activeRouters_;
+    ActiveSet activeNis_;
+    std::uint64_t routersTicked_ = 0;
+    std::uint64_t nisTicked_ = 0;
 
     /** In-flight analytic deliveries, ordered by (arrival, push
      * sequence) for deterministic same-cycle delivery order. */

@@ -149,6 +149,29 @@ class NetworkInterface
     /** True when nothing is queued or in flight inside this NI. */
     bool idle() const;
 
+    /** Neither router link carries a flit or a credit. */
+    bool
+    linksIdle() const
+    {
+        return (!toRouter_ || toRouter_->idle()) &&
+               (!fromRouter_ || fromRouter_->idle());
+    }
+
+    /**
+     * idle(), no flit from the router and no credit for this NI on
+     * the wire: ticking is a no-op until a packet is injected or the
+     * router sends a flit or credit. Only what this NI consumes
+     * counts, as for Router::quiescent(): a fault drop on the
+     * router->NI link leaves a credit there that only the router
+     * consumes. The Network drops a quiescent NI from its active set.
+     */
+    bool
+    quiescent() const
+    {
+        return idle() && !(fromRouter_ && fromRouter_->carriesFlit()) &&
+               !(toRouter_ && toRouter_->carriesCredit());
+    }
+
     NodeId id() const { return id_; }
     const NiStats &stats() const { return stats_; }
 

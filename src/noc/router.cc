@@ -103,8 +103,7 @@ Router::acceptFlits(unsigned p, Cycle now)
         vc.fifo.push({std::move(*flit), now});
         if (fresh_head)
             headAtFront(p, v);
-        if (buffered_++ == 0 && busyCounter_)
-            ++*busyCounter_;
+        ++buffered_;
         if (check_)
             check_->onVcPush(id_, p, v, vc.fifo.back().flit, now);
     }
@@ -221,8 +220,7 @@ Router::traverse(unsigned p, unsigned v, std::int64_t rank, Cycle now)
                    op);
 
     BufferedFlit bf = vc.fifo.pop();
-    if (--buffered_ == 0 && busyCounter_)
-        --*busyCounter_;
+    --buffered_;
     if (check_)
         check_->onVcPop(id_, p, v, bf.flit, now);
 

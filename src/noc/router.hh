@@ -114,12 +114,22 @@ class Router
     unsigned occupancy() const;
 
     /**
-     * Count this router in @p *busy while it buffers a flit: the
-     * Network's O(1) "some router is busy" test (event-core wakeup
-     * plumbing; a router with no buffered flits has nothing to
-     * arbitrate). Attach while empty.
+     * No buffered flit, no flit on an in-link and no credit on an
+     * out-link: nothing can reach this router until a neighbour puts
+     * something on one of its links, and a tick is a no-op. The
+     * Network drops a quiescent router from its active set.
      */
-    void setBusyCounter(unsigned *busy) { busyCounter_ = busy; }
+    bool
+    quiescent() const
+    {
+        if (buffered_ != 0)
+            return false;
+        for (unsigned p = 0; p < NumPorts; ++p)
+            if ((inLinks_[p] && inLinks_[p]->carriesFlit()) ||
+                (outLinks_[p] && outLinks_[p]->carriesCredit()))
+                return false;
+        return true;
+    }
 
     /** Flits buffered in one input VC. */
     unsigned vcOccupancy(unsigned port, unsigned v) const
@@ -215,7 +225,6 @@ class Router
 
     /** Buffered flits across all input VCs (fast-path early out). */
     unsigned buffered_ = 0;
-    unsigned *busyCounter_ = nullptr;
 
     /** Backing store of every input VC ring: port-major, then VC,
      * vcDepth slots each. */

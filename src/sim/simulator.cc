@@ -593,6 +593,11 @@ Simulator::run()
         ck->finalize(now_);
     wall_.cycles = now_;
     wall_.totalSeconds = secondsSince(run_start, sim_clock::now());
+    wall_.phasesTimed = opts_.profileWall;
+    wall_.routersTicked = system_->network().routersTicked();
+    wall_.nisTicked = system_->network().nisTicked();
+    for (unsigned g = 0; g < NumSystemGroups; ++g)
+        wall_.groupTicks[g] = system_->ticked(g);
 
     RunMetrics m;
     m.roiFinish = now_;
@@ -656,21 +661,24 @@ Simulator::registerStats(StatsRegistry &reg)
 {
     system_->registerStats(reg);
     // Host wall-clock cost of the run, split by phase (Fig 10's
-    // observability leg). The phase splits are only populated with
-    // profileWall on; the cycle counters always are.
+    // observability leg). The phase splits exist only with
+    // profileWall on; the cycle and work counters always do.
     reg.addScalarFn("sim.wall.total_seconds",
                     [this] { return wall_.totalSeconds; });
-    reg.addScalarFn("sim.wall.tick_seconds",
-                    [this] { return wall_.tickSeconds; });
-    reg.addScalarFn("sim.wall.account_seconds",
-                    [this] { return wall_.accountSeconds; });
-    reg.addScalarFn("sim.wall.sched_seconds",
-                    [this] { return wall_.schedSeconds; });
+    if (opts_.profileWall) {
+        reg.addScalarFn("sim.wall.tick_seconds",
+                        [this] { return wall_.tickSeconds; });
+        reg.addScalarFn("sim.wall.account_seconds",
+                        [this] { return wall_.accountSeconds; });
+        reg.addScalarFn("sim.wall.sched_seconds",
+                        [this] { return wall_.schedSeconds; });
+    }
     reg.addScalarFn("sim.wall.cycles",
                     [this] { return static_cast<double>(wall_.cycles); });
     reg.addScalar("sim.wall.cycles_processed", &wall_.cyclesProcessed);
     reg.addScalar("sim.wall.cycles_skipped", &wall_.cyclesSkipped);
     reg.addScalar("sim.wall.events_scheduled", &wall_.eventsScheduled);
+    registerWorkStats(reg, &wall_);
     if (ledger_)
         ledger_->registerStats(reg, "sim.coh");
     if (wakeProf_)

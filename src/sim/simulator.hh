@@ -150,6 +150,16 @@ struct WallProfile
     std::uint64_t cyclesProcessed = 0;
     std::uint64_t cyclesSkipped = 0;   ///< quiet cycles jumped over
     std::uint64_t eventsScheduled = 0; ///< event-wheel pushes
+
+    /** tick/account/sched seconds were measured (profileWall). */
+    bool phasesTimed = false;
+
+    /** Deterministic work counters: router and NI ticks, and
+     * component ticks per System group (network ticks for
+     * GNetwork). The event core ticks only what has work. */
+    std::uint64_t routersTicked = 0;
+    std::uint64_t nisTicked = 0;
+    std::array<std::uint64_t, NumSystemGroups> groupTicks{};
 };
 
 /** Drives one System instance through its region of interest. */

@@ -42,8 +42,13 @@ System::System(const SystemConfig &cfg, std::vector<Program> programs,
             });
     }
 
-    for (NodeId n : amap_.mcNodes())
-        mcs_[n] = std::make_unique<MemController>(n, cfg_.mem, send);
+    std::vector<NodeId> mc_nodes = amap_.mcNodes();
+    std::sort(mc_nodes.begin(), mc_nodes.end());
+    mcSlot_.assign(nodes, ActiveSet::npos);
+    for (NodeId n : mc_nodes) {
+        mcSlot_[n] = static_cast<unsigned>(mcs_.size());
+        mcs_.push_back(std::make_unique<MemController>(n, cfg_.mem, send));
+    }
 
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
         auto pcb = std::make_unique<Pcb>();
@@ -60,9 +65,17 @@ System::System(const SystemConfig &cfg, std::vector<Program> programs,
             cfg_.mem.lineBytes));
     }
 
-    mcTick_.reserve(mcs_.size());
-    for (auto &[node, mc] : mcs_)
-        mcTick_.push_back(mc.get());
+    const unsigned sizes[NumSystemGroups] = {
+        0, nodes, nodes, nodes, static_cast<unsigned>(mcs_.size()),
+        cfg_.numThreads, cfg_.numThreads};
+    for (unsigned g = GL1; g < NumSystemGroups; ++g) {
+        WakeCache &c = wakes_[g];
+        c.wake.assign(sizes[g], neverCycle);
+        c.dirty = ActiveSet(sizes[g]);
+        for (unsigned i = 0; i < sizes[g]; ++i)
+            c.dirty.insert(i);
+    }
+    refreshWakes();
 
     if (cfg_.fidelity == Fidelity::Hybrid) {
         // The qspinlocks maintain the live waiter count; the network
@@ -236,6 +249,7 @@ System::dispatch(NodeId node, const PacketPtr &pkt, Cycle now)
       case MsgType::Unblock:
       case MsgType::MemResp:
         l2s_[node]->handle(pkt, now);
+        touch(GL2, node);
         break;
 
       // L1-side coherence.
@@ -245,15 +259,18 @@ System::dispatch(NodeId node, const PacketPtr &pkt, Cycle now)
       case MsgType::DataExcl:
       case MsgType::WbAck:
         l1s_[node]->handle(pkt, now);
+        touch(GL1, node);
+        touchPeers(GL1, node);
         break;
 
       // Off-chip memory.
       case MsgType::MemRead:
       case MsgType::MemWrite: {
-        auto it = mcs_.find(node);
-        if (it == mcs_.end())
+        const unsigned slot = mcSlot_[node];
+        if (slot == ActiveSet::npos)
             ocor_panic("node %u has no memory controller", node);
-        it->second->handle(pkt, now);
+        mcs_[slot]->handle(pkt, now);
+        touch(GMc, slot);
         break;
       }
 
@@ -263,9 +280,11 @@ System::dispatch(NodeId node, const PacketPtr &pkt, Cycle now)
       case MsgType::FutexWait:
       case MsgType::FutexWake:
         lockMgrs_[node]->handle(pkt, now);
+        touch(GLockMgr, node);
         break;
 
-      // Lock protocol, thread side.
+      // Lock protocol, thread side: the response goes to the
+      // requesting thread's client, wherever it was delivered.
       case MsgType::LockGrant:
       case MsgType::LockFail:
       case MsgType::LockFreeNotify:
@@ -274,6 +293,8 @@ System::dispatch(NodeId node, const PacketPtr &pkt, Cycle now)
             ocor_panic("lock response for unknown thread %u",
                        pkt->thread);
         qspins_[pkt->thread]->handle(pkt, now);
+        touch(GQspin, pkt->thread);
+        touchPeers(GQspin, pkt->thread);
         break;
 
       default:
@@ -293,40 +314,146 @@ System::tick(Cycle now)
         l2->tick(now);
     for (auto &lm : lockMgrs_)  // simlint: allow(unconditional-tick)
         lm->tick(now);
-    for (MemController *mc : mcTick_)  // simlint: allow(unconditional-tick)
+    for (auto &mc : mcs_)  // simlint: allow(unconditional-tick)
         mc->tick(now);
     for (auto &qs : qspins_)  // simlint: allow(unconditional-tick)
         qs->tick(now);
     for (auto &c : cores_)  // simlint: allow(unconditional-tick)
         c->tick(now);
+    ++ticked_[GNetwork];
+    for (unsigned g = GL1; g < NumSystemGroups; ++g)
+        ticked_[g] += wakes_[g].wake.size();
+}
+
+void
+System::touchPeers(unsigned g, unsigned i)
+{
+    switch (g) {
+      case GL1:
+        if (i < cfg_.numThreads)
+            touch(GCore, i);
+        break;
+      case GQspin:
+        touch(GCore, i);
+        break;
+      case GCore:
+        touch(GL1, i);
+        touch(GQspin, i);
+        break;
+      default:
+        break;
+    }
+}
+
+template <class Vec>
+void
+System::tickGroup(unsigned g, Vec &vec, Cycle now, WakeProfiler *wp)
+{
+    WakeCache &c = wakes_[g];
+    // Clean slots equal the live wake, so the components to visit
+    // are the cached-due ones plus the dirty ones; fold the former
+    // into the dirty set (each of them is ticked, hence dirty).
+    if (c.min <= now)
+        for (unsigned i = 0; i < c.wake.size(); ++i)
+            if (c.wake[i] <= now)
+                c.dirty.insert(i);
+    if (c.dirty.empty())
+        return;
+    std::uint64_t sig = 0;
+    if (wp) {
+        bool due = false;
+        for (unsigned i = c.dirty.next(0); i != ActiveSet::npos && !due;
+             i = c.dirty.next(i + 1))
+            due = vec[i]->nextWake() <= now;
+        if (!due)
+            return;
+        sig = groupSignature(g);
+    }
+    for (unsigned i = c.dirty.next(0); i != ActiveSet::npos;
+         i = c.dirty.next(i + 1)) {
+        if (vec[i]->nextWake() <= now) {
+            vec[i]->tick(now);
+            ++ticked_[g];
+            touchPeers(g, i);
+        }
+    }
+    if (wp)
+        wp->noteWake(g, sig != groupSignature(g));
+}
+
+template <class Vec>
+void
+System::refreshGroup(unsigned g, const Vec &vec)
+{
+    WakeCache &c = wakes_[g];
+    // The minimum only needs a rescan when a slot holding it moved
+    // later; otherwise it is the old minimum or a new, earlier wake.
+    bool rescan = false;
+    for (unsigned i = c.dirty.next(0); i != ActiveSet::npos;
+         i = c.dirty.next(i + 1)) {
+        const Cycle w = vec[i]->nextWake();
+        rescan |= c.wake[i] == c.min && w > c.min;
+        c.wake[i] = w;
+        c.min = std::min(c.min, w);
+        c.dirty.erase(i);
+    }
+    if (rescan)
+        c.min = c.wake.empty()
+            ? neverCycle
+            : *std::min_element(c.wake.begin(), c.wake.end());
+}
+
+void
+System::refreshWakes()
+{
+    refreshGroup(GL1, l1s_);
+    refreshGroup(GL2, l2s_);
+    refreshGroup(GLockMgr, lockMgrs_);
+    refreshGroup(GMc, mcs_);
+    refreshGroup(GQspin, qspins_);
+    refreshGroup(GCore, cores_);
+}
+
+void
+System::walk(Cycle now, WakeProfiler *wp)
+{
+    if (wp)
+        wp->beginCycle();
+    // With a profiler, each group that has a due component is
+    // bracketed by its progress signature.
+    if (netWake_ <= now) {
+        std::uint64_t sig = 0;
+        if (wp) {
+            wp->noteNetReason(network_->wakeReason(now));
+            sig = groupSignature(GNetwork);
+        }
+        network_->tickEvent(now);
+        ++ticked_[GNetwork];
+        if (wp)
+            wp->noteWake(GNetwork, sig != groupSignature(GNetwork));
+    }
+    tickGroup(GL1, l1s_, now, wp);
+    tickGroup(GL2, l2s_, now, wp);
+    tickGroup(GLockMgr, lockMgrs_, now, wp);
+    tickGroup(GMc, mcs_, now, wp);
+    tickGroup(GQspin, qspins_, now, wp);
+    tickGroup(GCore, cores_, now, wp);
+    refreshWakes();
+    // All sends of this cycle have been queued by now (NI inject
+    // queues stamp ready = now + 1), so this scan sees them.
+    netWake_ = network_->nextWake(now);
 }
 
 void
 System::tickEvent(Cycle now)
 {
-    if (netWake_ <= now)
-        network_->tickEvent(now);
-    for (auto &l1 : l1s_)
-        if (l1->nextWake() <= now)
-            l1->tick(now);
-    for (auto &l2 : l2s_)
-        if (l2->nextWake() <= now)
-            l2->tick(now);
-    for (auto &lm : lockMgrs_)
-        if (lm->nextWake() <= now)
-            lm->tick(now);
-    for (MemController *mc : mcTick_)
-        if (mc->nextWake() <= now)
-            mc->tick(now);
-    for (auto &qs : qspins_)
-        if (qs->nextWake() <= now)
-            qs->tick(now);
-    for (auto &c : cores_)
-        if (c->nextWake() <= now)
-            c->tick(now);
-    // All sends of this cycle have been queued by now (NI inject
-    // queues stamp ready = now + 1), so this scan sees them.
-    netWake_ = network_->nextWake(now);
+    walk(now, nullptr);
+}
+
+void
+System::tickEventProfiled(Cycle now, WakeProfiler &wp)
+{
+    walk(now, &wp);
 }
 
 namespace
@@ -406,7 +533,7 @@ System::groupSignature(unsigned g) const
         // reads/writes move at handle() time (inside the network
         // slot); completing an access only pops the service queue,
         // which shows up in nextWake().
-        for (const MemController *mc : mcTick_) {
+        for (const auto &mc : mcs_) {
             const McStats &st = mc->stats();
             s = sigFold(s, st.reads + st.writes);
             s = sigFold(s, mc->nextWake());
@@ -442,77 +569,28 @@ System::groupSignature(unsigned g) const
     return s;
 }
 
-void
-System::tickEventProfiled(Cycle now, WakeProfiler &wp)
-{
-    wp.beginCycle();
-    // Mirror of tickEvent(): same lazy per-component gating in the
-    // same slot order, each group bracketed by its signature. The
-    // due pre-scan happens exactly where the group's tick loop would
-    // start, so the verdicts are identical to tickEvent()'s.
-    if (netWake_ <= now) {
-        wp.noteNetReason(network_->wakeReason(now));
-        const std::uint64_t sig = groupSignature(GNetwork);
-        network_->tickEvent(now);
-        wp.noteWake(GNetwork, sig != groupSignature(GNetwork));
-    }
-    auto run_group = [&](unsigned g, auto &vec) {
-        bool due = false;
-        for (const auto &c : vec)
-            if (c->nextWake() <= now) {
-                due = true;
-                break;
-            }
-        if (!due)
-            return;
-        const std::uint64_t sig = groupSignature(g);
-        for (auto &c : vec)
-            if (c->nextWake() <= now)
-                c->tick(now);
-        wp.noteWake(g, sig != groupSignature(g));
-    };
-    run_group(GL1, l1s_);
-    run_group(GL2, l2s_);
-    run_group(GLockMgr, lockMgrs_);
-    run_group(GMc, mcTick_);
-    run_group(GQspin, qspins_);
-    run_group(GCore, cores_);
-    netWake_ = network_->nextWake(now);
-}
-
 Cycle
 System::componentWake(unsigned g, Cycle now) const
 {
-    Cycle w = neverCycle;
-    switch (g) {
-      case GNetwork:
+    if (g == GNetwork)
         return netWake_ <= now ? network_->nextWake(now) : netWake_;
-      case GL1:
-        for (const auto &l1 : l1s_)
-            w = std::min(w, l1->nextWake());
-        return w;
-      case GL2:
-        for (const auto &l2 : l2s_)
-            w = std::min(w, l2->nextWake());
-        return w;
-      case GLockMgr:
-        for (const auto &lm : lockMgrs_)
-            w = std::min(w, lm->nextWake());
-        return w;
-      case GMc:
-        for (const MemController *mc : mcTick_)
-            w = std::min(w, mc->nextWake());
-        return w;
-      case GQspin:
-        for (const auto &qs : qspins_)
-            w = std::min(w, qs->nextWake());
-        return w;
-      case GCore:
-        for (const auto &c : cores_)
-            w = std::min(w, c->nextWake());
-        return w;
-      default:
+    if (g >= NumSystemGroups)
         ocor_panic("componentWake: unknown group %u", g);
+    return wakes_[g].min;
+}
+
+Cycle
+System::liveWake(unsigned g, unsigned i) const
+{
+    switch (g) {
+      case GL1:      return l1s_[i]->nextWake();
+      case GL2:      return l2s_[i]->nextWake();
+      case GLockMgr: return lockMgrs_[i]->nextWake();
+      case GMc:      return mcs_[i]->nextWake();
+      case GQspin:   return qspins_[i]->nextWake();
+      case GCore:    return cores_[i]->nextWake();
+      default:
+        ocor_panic("liveWake: unknown group %u", g);
     }
 }
 
@@ -542,7 +620,7 @@ System::drained() const
     for (const auto &lm : lockMgrs_)
         if (!lm->idle())
             return false;
-    for (const auto &[node, mc] : mcs_)
+    for (const auto &mc : mcs_)
         if (!mc->idle())
             return false;
     return true;

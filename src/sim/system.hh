@@ -8,12 +8,13 @@
 #ifndef OCOR_SIM_SYSTEM_HH
 #define OCOR_SIM_SYSTEM_HH
 
-#include <map>
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "check/checker_registry.hh"
+#include "common/active_set.hh"
 #include "common/stats_registry.hh"
 #include "common/trace.hh"
 #include "cpu/core.hh"
@@ -72,11 +73,12 @@ class System
      * Event-core variant of tick(): identical slot order, but each
      * component is ticked only when its nextWake() marks cycle
      * @p now as having work. Ticking a non-due component is a no-op
-     * by construction, so skipping preserves bit-identical behavior;
-     * the per-slot checks are evaluated lazily so that work created
-     * for a later slot earlier in the same cycle (e.g. a grant
-     * delivered by the network arming a qspinlock timer) is never
-     * missed.
+     * by construction, so skipping preserves bit-identical behavior.
+     * Each group walks only its cached-due and dirty components (see
+     * the wake caches below), re-reading their live nextWake(), so
+     * work created for a later slot earlier in the same cycle (e.g. a
+     * grant delivered by the network arming a qspinlock timer) is
+     * never missed.
      */
     void tickEvent(Cycle now);
 
@@ -91,10 +93,33 @@ class System
 
     /**
      * Earliest future cycle group @p g needs a tick, as seen at the
-     * end of processed cycle @p now. May return cycles <= now (core
-     * wakes can be overdue); the event loop clamps to now + 1.
+     * end of processed cycle @p now: O(1), read from the group's wake
+     * cache. May return cycles <= now (core wakes can be overdue);
+     * the event loop clamps to now + 1.
      */
     Cycle componentWake(unsigned g, Cycle now) const;
+
+    /** Cached nextWake() of component @p i of group @p g (@p g is
+     * not GNetwork) and the group minimum; white-box tests compare
+     * them with the live values. */
+    Cycle cachedWake(unsigned g, unsigned i) const
+    {
+        return wakes_[g].wake[i];
+    }
+    Cycle cachedGroupWake(unsigned g) const { return wakes_[g].min; }
+
+    /** Live nextWake() of component @p i of group @p g. */
+    Cycle liveWake(unsigned g, unsigned i) const;
+
+    /** Components in group @p g (@p g is not GNetwork). */
+    unsigned groupSize(unsigned g) const
+    {
+        return static_cast<unsigned>(wakes_[g].wake.size());
+    }
+
+    /** Component ticks performed per group (work counters; for
+     * GNetwork, network ticks). */
+    std::uint64_t ticked(unsigned g) const { return ticked_[g]; }
 
     /** All threads ran to completion. */
     bool allFinished() const;
@@ -160,6 +185,28 @@ class System
   private:
     void dispatch(NodeId node, const PacketPtr &pkt, Cycle now);
 
+    /** tickEvent(), with wake attribution to @p wp when non-null
+     * (tickEventProfiled()). */
+    void walk(Cycle now, WakeProfiler *wp);
+
+    template <class Vec>
+    void tickGroup(unsigned g, Vec &vec, Cycle now, WakeProfiler *wp);
+
+    template <class Vec>
+    void refreshGroup(unsigned g, const Vec &vec);
+
+    /** Re-read every dirty slot's nextWake() and the group minima. */
+    void refreshWakes();
+
+    /** Component @p i of group @p g may have a new nextWake(). */
+    void touch(unsigned g, unsigned i) { wakes_[g].dirty.insert(i); }
+
+    /** Ticking component @p i of group @p g, or handing it a
+     * packet, can move the wakes of the same thread's other
+     * components: an L1 or qspinlock completion wakes the core, and
+     * the core issues into both. */
+    void touchPeers(unsigned g, unsigned i);
+
     /**
      * Observable-progress signature of group @p g: a fold of the
      * group's existing counters (plus, for lock clients, thread
@@ -182,13 +229,28 @@ class System
     std::vector<std::unique_ptr<LockManager>> lockMgrs_;
     std::vector<std::unique_ptr<QSpinlock>> qspins_;
     std::vector<std::unique_ptr<Core>> cores_;
-    std::map<NodeId, std::unique_ptr<MemController>> mcs_;
+    /** Memory controllers in ascending node order; mcSlot_[node] is
+     * the index of that node's controller (ActiveSet::npos: none). */
+    std::vector<std::unique_ptr<MemController>> mcs_;
+    std::vector<unsigned> mcSlot_;
 
-    /** Flat raw-pointer walk order for tick(): the unique_ptr
-     * vectors (and the mcs_ node map) stay the owners, but the
-     * per-cycle loops should not chase map nodes. Built once at the
-     * end of construction. */
-    std::vector<MemController *> mcTick_;
+    /**
+     * Wake cache of one component group (unused for GNetwork, which
+     * keeps netWake_). A clean slot holds the component's live
+     * nextWake(); a slot is dirty from the moment its component is
+     * ticked or handed a packet (or a peer's tick may have moved it,
+     * see touchPeers()) until refreshWakes() re-reads it at the end
+     * of the processed cycle. min is the minimum over the slots as
+     * of that refresh.
+     */
+    struct WakeCache
+    {
+        std::vector<Cycle> wake;
+        ActiveSet dirty;
+        Cycle min = neverCycle;
+    };
+    std::array<WakeCache, NumSystemGroups> wakes_;
+    std::array<std::uint64_t, NumSystemGroups> ticked_{};
 
     /** First index in cores_ not yet finished: threads finish
      * monotonically, so allFinished() is O(1) amortized instead of

@@ -60,6 +60,11 @@ mergeRunAggregates(const WallProfile &wall, const WakeStats *wake)
     g_agg_wall.cyclesProcessed += wall.cyclesProcessed;
     g_agg_wall.cyclesSkipped += wall.cyclesSkipped;
     g_agg_wall.eventsScheduled += wall.eventsScheduled;
+    g_agg_wall.phasesTimed |= wall.phasesTimed;
+    g_agg_wall.routersTicked += wall.routersTicked;
+    g_agg_wall.nisTicked += wall.nisTicked;
+    for (unsigned g = 0; g < NumSystemGroups; ++g)
+        g_agg_wall.groupTicks[g] += wall.groupTicks[g];
     ++g_agg_runs;
     if (wake) {
         g_agg_wake.merge(*wake);
@@ -128,6 +133,17 @@ registerWakeStats(StatsRegistry &reg, const std::string &prefix,
 }
 
 void
+registerWorkStats(StatsRegistry &reg, const WallProfile *wall)
+{
+    reg.addScalar("sim.work.routers_ticked", &wall->routersTicked);
+    reg.addScalar("sim.work.nis_ticked", &wall->nisTicked);
+    for (unsigned g = 0; g < NumSystemGroups; ++g)
+        reg.addScalar(std::string("sim.work.") + simGroupName(g) +
+                          "_ticked",
+                      &wall->groupTicks[g]);
+}
+
+void
 registerAggregateStats(StatsRegistry &reg)
 {
     // Everything reads the global aggregate at dump time, so stats
@@ -140,18 +156,20 @@ registerAggregateStats(StatsRegistry &reg)
                         wall([](const WallProfile &w) {
                             return w.totalSeconds;
                         }));
-        reg.addScalarFn("sim.wall.tick_seconds",
-                        wall([](const WallProfile &w) {
-                            return w.tickSeconds;
-                        }));
-        reg.addScalarFn("sim.wall.account_seconds",
-                        wall([](const WallProfile &w) {
-                            return w.accountSeconds;
-                        }));
-        reg.addScalarFn("sim.wall.sched_seconds",
-                        wall([](const WallProfile &w) {
-                            return w.schedSeconds;
-                        }));
+        if (aggregateWall().phasesTimed) {
+            reg.addScalarFn("sim.wall.tick_seconds",
+                            wall([](const WallProfile &w) {
+                                return w.tickSeconds;
+                            }));
+            reg.addScalarFn("sim.wall.account_seconds",
+                            wall([](const WallProfile &w) {
+                                return w.accountSeconds;
+                            }));
+            reg.addScalarFn("sim.wall.sched_seconds",
+                            wall([](const WallProfile &w) {
+                                return w.schedSeconds;
+                            }));
+        }
         reg.addScalarFn("sim.wall.cycles",
                         wall([](const WallProfile &w) {
                             return static_cast<double>(w.cycles);
@@ -171,6 +189,22 @@ registerAggregateStats(StatsRegistry &reg)
                             return static_cast<double>(
                                 w.eventsScheduled);
                         }));
+        reg.addScalarFn("sim.work.routers_ticked",
+                        wall([](const WallProfile &w) {
+                            return static_cast<double>(
+                                w.routersTicked);
+                        }));
+        reg.addScalarFn("sim.work.nis_ticked",
+                        wall([](const WallProfile &w) {
+                            return static_cast<double>(w.nisTicked);
+                        }));
+        for (unsigned g = 0; g < NumSystemGroups; ++g)
+            reg.addScalarFn(std::string("sim.work.") +
+                                simGroupName(g) + "_ticked",
+                            [g]() {
+                                return static_cast<double>(
+                                    aggregateWall().groupTicks[g]);
+                            });
     }
     reg.addScalarFn("sim.wall.runs", []() {
         return static_cast<double>(aggregateRuns());

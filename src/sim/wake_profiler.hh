@@ -123,11 +123,17 @@ std::uint64_t aggregateWakeRuns();
 void resetRunAggregates();
 
 /**
- * Register the aggregates under "sim.wall.*" and "sim.wake.*"
- * (wake keys only if any profiled run has merged). Values are read
- * from the global aggregate at dump time.
+ * Register the aggregates under "sim.wall.*", "sim.work.*" and
+ * "sim.wake.*" (the tick/account/sched seconds only if a merged run
+ * timed them, wake keys only if any profiled run has merged). Values
+ * are read from the global aggregate at dump time.
  */
 void registerAggregateStats(StatsRegistry &reg);
+
+/** Register the work counters of @p wall under "sim.work.*":
+ * routers_ticked, nis_ticked and <group>_ticked. @p wall must
+ * outlive the registry use. */
+void registerWorkStats(StatsRegistry &reg, const WallProfile *wall);
 
 /** Register @p ws under "<prefix>.*" (per-run registries). @p ws
  * must outlive the registry use. */

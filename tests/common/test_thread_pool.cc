@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <future>
 #include <mutex>
@@ -84,8 +85,8 @@ TEST(ThreadPool, BusyTimeAndTaskCountsAccumulate)
     for (int i = 0; i < 16; ++i)
         futs.push_back(pool.run([] {
             // Enough work for steady_clock to register nonzero time.
-            volatile int x = 0;
-            for (int k = 0; k < 200000; ++k)
+            volatile std::uint64_t x = 0;
+            for (std::uint64_t k = 0; k < 200000; ++k)
                 x = x + k;
             return static_cast<int>(x);
         }));

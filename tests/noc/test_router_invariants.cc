@@ -8,7 +8,7 @@
  * rescanning. This test drives a fully wired router (all five ports)
  * with random multi-packet, multi-priority traffic and random
  * downstream backpressure, and after every cycle recomputes all of
- * that state, and the busy/active counters the Network reads, from
+ * that state, and the active-set membership the Network reads, from
  * the buffers themselves.
  */
 
@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/active_set.hh"
 #include "common/rng.hh"
 #include "core/priority.hh"
 #include "noc/router.hh"
@@ -49,24 +50,44 @@ struct FuzzRig
     /** Downstream side: credits withheld for a while (backpressure). */
     std::array<std::vector<unsigned>, NumPorts> held;
 
-    /** The Network's O(1) activity counters, fed by the router and
-     * the links themselves. */
-    unsigned busyRouters = 0;
-    unsigned activeLinks = 0;
+    /** An active set over every agent on the router's links, as the
+     * Network keeps one: the router, the upstream agent of each input
+     * port (it consumes that link's credits) and the downstream agent
+     * of each output port (it consumes that link's flits). The links
+     * insert; each agent erases itself once it has nothing left, as
+     * the Network's settle step does. */
+    static constexpr unsigned kRouter = 0;
+    static constexpr unsigned upstream(unsigned p) { return 1 + p; }
+    static constexpr unsigned downstream(unsigned p)
+    {
+        return 1 + NumPorts + p;
+    }
+    ActiveSet active{1 + 2 * NumPorts};
 
     explicit FuzzRig(std::uint64_t seed) : rng(seed)
     {
         ocor.enabled = true;
         router = std::make_unique<Router>(4, mesh, params, ocor);
-        router->setBusyCounter(&busyRouters);
         for (unsigned p = 0; p < NumPorts; ++p) {
             in[p] = std::make_unique<Link>(1, linkCapacity(params));
             out[p] = std::make_unique<Link>(1, linkCapacity(params));
-            in[p]->setActivityCounter(&activeLinks);
-            out[p]->setActivityCounter(&activeLinks);
+            in[p]->setSinks({&active, kRouter}, {&active, upstream(p)});
+            out[p]->setSinks({&active, downstream(p)}, {&active, kRouter});
             router->attach(p, in[p].get(), out[p].get());
             credits[p].fill(params.vcDepth);
         }
+    }
+
+    /** The router's tick, then the Network's settle step. */
+    void
+    tick(Cycle now, bool event_tick)
+    {
+        if (event_tick)
+            router->tickEvent(now);
+        else
+            router->tick(now);
+        if (router->quiescent())
+            active.erase(kRouter);
     }
 
     PacketPtr
@@ -117,6 +138,9 @@ struct FuzzRig
             --credits[p][v];
             --left[p][v];
         }
+        for (unsigned p = 0; p < NumPorts; ++p)
+            if (!in[p]->carriesCredit())
+                active.erase(upstream(p));
     }
 
     /** Downstream of every port: consume, return credits late. */
@@ -133,6 +157,8 @@ struct FuzzRig
                     out[p]->sendCredit(v, now);
                 held[p].clear();
             }
+            if (!out[p]->carriesFlit())
+                active.erase(downstream(p));
         }
     }
 
@@ -179,11 +205,21 @@ struct FuzzRig
                           static_cast<unsigned>(std::popcount(owned[op])));
         }
         ASSERT_EQ(r.occupancy(), buffered);
-        ASSERT_EQ(busyRouters, buffered > 0 ? 1u : 0u);
-        unsigned active = 0;
-        for (unsigned p = 0; p < NumPorts; ++p)
-            active += !in[p]->idle() + !out[p]->idle();
-        ASSERT_EQ(activeLinks, active) << "cycle " << now;
+        // Every flit and credit on a wire keeps its consumer in the
+        // set; an agent with nothing left has left it.
+        bool quiet = buffered == 0;
+        for (unsigned p = 0; p < NumPorts; ++p) {
+            quiet = quiet && !in[p]->carriesFlit() &&
+                    !out[p]->carriesCredit();
+            ASSERT_EQ(active.contains(upstream(p)),
+                      in[p]->carriesCredit())
+                << "cycle " << now << " port " << p;
+            ASSERT_EQ(active.contains(downstream(p)),
+                      out[p]->carriesFlit())
+                << "cycle " << now << " port " << p;
+        }
+        ASSERT_EQ(r.quiescent(), quiet) << "cycle " << now;
+        ASSERT_EQ(active.contains(kRouter), !quiet) << "cycle " << now;
     }
 };
 
@@ -193,10 +229,7 @@ fuzz(std::uint64_t seed, bool event_tick)
     FuzzRig rig(seed);
     for (Cycle c = 0; c < 20000; ++c) {
         rig.feed(c);
-        if (event_tick)
-            rig.router->tickEvent(c);
-        else
-            rig.router->tick(c);
+        rig.tick(c, event_tick);
         rig.drain(c);
         rig.verify(c);
         if (::testing::Test::HasFatalFailure())

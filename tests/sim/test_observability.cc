@@ -13,8 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "common/stats_registry.hh"
 #include "common/thread_pool.hh"
 #include "sim/simulator.hh"
+#include "sim/wake_profiler.hh"
 
 using namespace ocor;
 
@@ -220,6 +222,49 @@ TEST(Observability, WallProfileMeasuresTheRun)
     // Phase times are subsets of the whole-run time.
     EXPECT_LE(w.tickSeconds + w.accountSeconds,
               w.totalSeconds * 1.001);
+}
+
+TEST(Observability, PhaseSecondsExistOnlyWhenTimed)
+{
+    // A counter is populated or absent: the tick/account/sched split
+    // is only measured under profileWall, so a plain run's stats dump
+    // must not carry it as zeros, per run or in the process
+    // aggregates. The always-measured keys are there either way.
+    const char *phases[] = {"sim.wall.tick_seconds",
+                            "sim.wall.account_seconds",
+                            "sim.wall.sched_seconds"};
+    auto dump = [](const StatsRegistry &reg) {
+        std::ostringstream os;
+        reg.dumpJson(os);
+        return os.str();
+    };
+    resetRunAggregates();
+    for (bool timed : {false, true}) {
+        SCOPED_TRACE(timed ? "profileWall" : "plain");
+        SimOptions opts;
+        opts.profileWall = timed;
+        Simulator sim(smallConfig(), contendedPrograms(4),
+                      BgTrafficConfig{}, opts);
+        sim.run();
+        StatsRegistry run_reg;
+        sim.registerStats(run_reg);
+        StatsRegistry agg_reg;
+        registerAggregateStats(agg_reg);
+        for (const StatsRegistry *reg : {&run_reg, &agg_reg}) {
+            const std::string json = dump(*reg);
+            for (const char *key : phases) {
+                EXPECT_EQ(reg->has(key), timed) << key;
+                EXPECT_EQ(json.find(key) != std::string::npos, timed)
+                    << key;
+            }
+            EXPECT_TRUE(reg->has("sim.wall.total_seconds"));
+            EXPECT_TRUE(reg->has("sim.work.routers_ticked"));
+        }
+        if (timed) {
+            EXPECT_GT(run_reg.scalar("sim.wall.tick_seconds"), 0.0);
+        }
+    }
+    resetRunAggregates();
 }
 
 TEST(Observability, SystemRegistersHierarchicalStats)
