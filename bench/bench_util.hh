@@ -12,10 +12,6 @@
  *   --fresh       ignore the result cache for this invocation
  *   --jobs N      simulations run concurrently (default: OCOR_JOBS
  *                 env var, else hardware concurrency)
- *   --fidelity M  simulation fidelity: "exact" (default, bit-exact
- *                 microarchitectural NoC) or "hybrid" (analytic NoC
- *                 fast path during uncontended windows; approximate,
- *                 cached under separate keys — DESIGN.md §13)
  *   --legacy-tick run on the legacy unconditional per-cycle tick loop
  *                 instead of the event-driven core (bit-identical
  *                 results, slower; for benchmarking the event core)
@@ -56,11 +52,8 @@
  * Crash safety / supervision flags (see DESIGN.md §12):
  *   --deadline SEC   wall-clock deadline for a 16-thread 4-iteration
  *                    run, scaled with the request size; a miss
- *                    cancels and retries (0 = off, the default)
- *   --retries N      retries per failed/timed-out request (default 2
- *                    once supervision is on)
- *   --quarantine N   attempt failures after which a configuration is
- *                    skipped for the rest of the sweep (default 3)
+ *                    cancels the run and degrades its request
+ *                    (0 = off, the default)
  *   --replay FILE    re-run the exact simulation recorded in a crash
  *                    dump, deterministically, then exit
  *
@@ -98,7 +91,6 @@ struct Options
     std::uint64_t seed = 1;
     bool fresh = false;
     unsigned jobs = 0; ///< 0 = ThreadPool::defaultConcurrency()
-    Fidelity fidelity = Fidelity::Exact;
 
     /** --profile: restrict suite benches to one profile ("" = all). */
     std::string profileFilter;
@@ -120,31 +112,9 @@ struct Options
     // --- crash safety / supervision (DESIGN.md §12) -----------------
     std::string replay;      ///< crash dump to re-run ("" = none)
     double deadline = 0.0;   ///< base deadline seconds (0 = off)
-    unsigned retries = 2;    ///< retries per failed request
-    bool retriesSet = false; ///< --retries given explicitly
-    unsigned quarantine = 3; ///< failures before a config is skipped
 
     bool tracing() const { return !traceCats.empty(); }
     bool checking() const { return !checkList.empty(); }
-
-    /** Supervision is on once any of its knobs is exercised. */
-    bool
-    supervised() const
-    {
-        return deadline > 0.0 || retriesSet;
-    }
-
-    /** The SupervisePolicy these options describe. */
-    SupervisePolicy
-    supervision() const
-    {
-        SupervisePolicy p;
-        p.deadlineSeconds = deadline;
-        p.maxAttempts = retries + 1;
-        p.quarantineAfter = quarantine;
-        p.enabled = supervised();
-        return p;
-    }
 
     /** The --check mask for a directly built SystemConfig. */
     unsigned
@@ -162,7 +132,6 @@ struct Options
         exp.iterationsOverride = iterations;
         exp.seed = seed;
         exp.check.checks = checkMask();
-        exp.fidelity = fidelity;
         exp.cohLedger = cohLedger;
         return exp;
     }
@@ -263,18 +232,7 @@ parseOptions(int argc, char **argv)
             opt.threads = 16;
         else if (a == "--fresh")
             opt.fresh = true;
-        else if (valueOf("--fidelity", v)) {
-            if (v == "exact")
-                opt.fidelity = Fidelity::Exact;
-            else if (v == "hybrid")
-                opt.fidelity = Fidelity::Hybrid;
-            else {
-                std::fprintf(stderr,
-                             "--fidelity must be \"exact\" or "
-                             "\"hybrid\" (got \"%s\")\n", v.c_str());
-                std::exit(1);
-            }
-        } else if (a == "--legacy-tick")
+        else if (a == "--legacy-tick")
             Simulator::setDefaultCoreMode(SimCoreMode::Legacy);
         else if (valueOf("--profile", v))
             opt.profileFilter = v;
@@ -318,19 +276,12 @@ parseOptions(int argc, char **argv)
             opt.replay = v;
         else if (valueOf("--deadline", v))
             opt.deadline = std::strtod(v.c_str(), nullptr);
-        else if (valueOf("--retries", v)) {
-            opt.retries = static_cast<unsigned>(
-                std::atoi(v.c_str()));
-            opt.retriesSet = true;
-        } else if (valueOf("--quarantine", v))
-            opt.quarantine = static_cast<unsigned>(
-                std::atoi(v.c_str()));
         else {
             std::fprintf(stderr,
                          "unknown flag %s\n"
                          "usage: %s [--threads N] [--iters N] "
                          "[--seed N] [--quick] [--fresh] "
-                         "[--fidelity exact|hybrid] [--legacy-tick] "
+                         "[--legacy-tick] "
                          "[--profile P] [--coh-ledger] "
                          "[--coh-breakdown] [--wake-profile] "
                          "[--jobs N] [--trace[=CATS]] "
@@ -339,7 +290,6 @@ parseOptions(int argc, char **argv)
                          "[--telemetry-interval N] "
                          "[--telemetry-out FILE] [--pool-util] "
                          "[--check[=LIST]] [--deadline SEC] "
-                         "[--retries N] [--quarantine N] "
                          "[--replay DUMP]\n",
                          a.c_str(), argv[0]);
             std::exit(1);
@@ -362,21 +312,20 @@ parseOptions(int argc, char **argv)
 }
 
 /**
- * Install the Options' supervision policy on @p runner (no-op when
- * supervision is off, keeping the sweep bit-identical to an
- * unsupervised run).
+ * Install the Options' --deadline on @p runner (no-op when it is 0,
+ * keeping the sweep bit-identical to an unsupervised run).
  */
 inline void
 superviseRunner(ParallelRunner &runner, const Options &opt)
 {
-    if (opt.supervised())
-        runner.setSupervision(opt.supervision());
+    if (opt.deadline > 0.0)
+        runner.setSupervision({opt.deadline});
 }
 
 /**
  * Report degraded outcomes of the last sweep and return the bench
  * exit code: 0 for a clean sweep, kExitDegraded (75) when requests
- * timed out / failed / were quarantined but the sweep completed.
+ * timed out or failed but the sweep completed.
  */
 inline int
 sweepExitStatus(const ParallelRunner &runner)
@@ -389,9 +338,8 @@ sweepExitStatus(const ParallelRunner &runner)
         if (o.status == RunStatus::Ok)
             continue;
         std::fprintf(stderr,
-                     "degraded request %zu: %s after %u attempt(s)"
-                     "%s%s\n",
-                     i, runStatusName(o.status), o.attempts,
+                     "degraded request %zu: %s%s%s\n",
+                     i, runStatusName(o.status),
                      o.detail.empty() ? "" : " -- ",
                      o.detail.c_str());
     }

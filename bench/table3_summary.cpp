@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -148,88 +147,6 @@ main(int argc, char **argv)
         cj << "]\n";
         std::printf("(-> coh_breakdown.json; causes sum to each "
                     "run's COH by construction)\n");
-    }
-
-    // Hybrid-fidelity accuracy: rerun the table under exact fidelity
-    // (a pure cache recall when the exact sweep already ran) and
-    // quantify the error the analytic fast path introduces in the
-    // table's headline metrics. The per-program rows also land in
-    // hybrid_accuracy.json, machine-readable for CI trending.
-    if (opt.fidelity == Fidelity::Hybrid) {
-        ExperimentConfig exact_exp = opt.experiment();
-        exact_exp.fidelity = Fidelity::Exact;
-        std::vector<BenchmarkResult> exact =
-            runner.runSuite(opt.profiles(), exact_exp);
-
-        std::printf("\nhybrid-fidelity accuracy vs exact:\n");
-        std::printf("%-8s %12s %12s %10s %12s\n", "program",
-                    "COH-i exact", "COH-i hybrid", "delta pts",
-                    "base-COH err");
-        double sum_abs = 0, max_abs = 0, sum_rel = 0, max_rel = 0;
-        std::ofstream aj = openArtifact("hybrid_accuracy.json");
-        aj << "[\n";
-        for (std::size_t i = 0; i < exact.size(); ++i) {
-            const BenchmarkResult &e = exact[i];
-            auto it = std::find_if(
-                results.begin(), results.end(),
-                [&](const BenchmarkResult &h) {
-                    return h.name == e.name;
-                });
-            if (it == results.end())
-                continue;
-            // Improvement error in percentage points; base-run COH
-            // share error relative to the exact share (how far the
-            // hybrid model's absolute COH estimate drifts).
-            double d = it->cohImprovementPct()
-                       - e.cohImprovementPct();
-            double rel = e.base.cohPct() == 0.0
-                ? 0.0
-                : (it->base.cohPct() - e.base.cohPct())
-                      / e.base.cohPct();
-            sum_abs += std::abs(d);
-            max_abs = std::max(max_abs, std::abs(d));
-            sum_rel += std::abs(rel);
-            max_rel = std::max(max_rel, std::abs(rel));
-            std::printf("%-8s %11.1f%% %11.1f%% %9.1f %11.1f%%\n",
-                        e.name.c_str(), e.cohImprovementPct(),
-                        it->cohImprovementPct(), d, 100.0 * rel);
-            // Window coverage (share of the run spent inside open
-            // fast-path windows) and analytic delivery share let CI
-            // correlate hybrid error with how much of the run the
-            // analytic model actually carried.
-            const RunMetrics &hb = it->base;
-            double coverage = hb.roiFinish == 0
-                ? 0.0
-                : static_cast<double>(hb.windowCycles)
-                    / static_cast<double>(hb.roiFinish);
-            double total_pkts = static_cast<double>(
-                hb.packetsInjected + hb.fastpathPackets);
-            double analytic_share = total_pkts == 0.0
-                ? 0.0
-                : static_cast<double>(hb.fastpathPackets)
-                    / total_pkts;
-            aj << "  {\"name\": \"" << e.name
-               << "\", \"coh_improvement_exact\": "
-               << e.cohImprovementPct()
-               << ", \"coh_improvement_hybrid\": "
-               << it->cohImprovementPct()
-               << ", \"delta_pts\": " << d
-               << ", \"base_coh_pct_exact\": " << e.base.cohPct()
-               << ", \"base_coh_pct_hybrid\": " << it->base.cohPct()
-               << ", \"base_coh_rel_err\": " << rel
-               << ", \"window_coverage\": " << coverage
-               << ", \"analytic_share\": " << analytic_share
-               << ", \"windows_opened\": " << hb.windowsOpened
-               << ", \"windows_closed\": " << hb.windowsClosed
-               << "}"
-               << (i + 1 < exact.size() ? "," : "") << "\n";
-        }
-        aj << "]\n";
-        std::printf("COH-improvement error: mean |delta| %.1f pts, "
-                    "max %.1f pts; base-COH share error: mean %.1f%%,"
-                    " max %.1f%% (-> hybrid_accuracy.json)\n",
-                    sum_abs / exact.size(), max_abs,
-                    100.0 * sum_rel / exact.size(), 100.0 * max_rel);
     }
 
     if (opt.poolUtil) {

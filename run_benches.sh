@@ -16,10 +16,7 @@
 #   --compare-event   first run the sweep on the legacy per-cycle core
 #                     (--legacy-tick --fresh), then on the event core
 #                     (--fresh); each bench row in BENCH_sweep.json
-#                     gains legacy_seconds / event_speedup, and a
-#                     final hybrid-fidelity leg (fig11 with
-#                     --fidelity hybrid) records the analytic fast
-#                     path's speedup over the exact event core
+#                     gains legacy_seconds / event_speedup
 #   --observe         turn the observability stack on for the sweep
 #                     (DESIGN.md §10): fig10 exports an event trace
 #                     (build/trace.json), a stats-registry dump
@@ -132,7 +129,6 @@ ROWS=()
 FAILED=()
 DEGRADED=()
 declare -A LEGACY_BY_BENCH  # per-bench legacy-core reference seconds
-declare -A MAIN_BY_BENCH    # per-bench recorded-pass seconds
 
 elapsed() { # elapsed <t0> <t1>
     awk -v a="$1" -v b="$2" 'BEGIN { printf "%.3f", b - a }'
@@ -159,7 +155,6 @@ run_bench() { # run_bench <label> <cmd...>
     esac
     echo "### $label: ${dt}s ($verdict)"
     if [ "$RECORD" -eq 1 ]; then
-        MAIN_BY_BENCH[$label]="$dt"
         local extra_fields=""
         local leg="${LEGACY_BY_BENCH[$label]:-}"
         if [ -n "$leg" ]; then
@@ -258,32 +253,9 @@ if [ "$COMPARE_SERIAL" -eq 1 ]; then
 fi
 
 EVENT_SPEEDUP=null
-HYBRID_ROW=null
 if [ "$COMPARE_EVENT" -eq 1 ]; then
     EVENT_SPEEDUP=$(awk -v l="$LEGACY_SECONDS" -v e="$TOTAL_SECONDS" \
         'BEGIN { printf "%.2f", l / e }')
-    # Hybrid-fidelity leg: the full 25-profile suite (fig11) once
-    # more with the analytic NoC fast path on. Approximate results,
-    # so it never shares the cache with the exact legs (--fresh, and
-    # distinctly-keyed anyway); its value here is the wall-clock
-    # ratio against the exact event-core pass just measured.
-    hf=(--jobs "$JOBS")
-    if [ "$QUICK" -eq 1 ]; then hf+=(--quick); fi
-    RECORD=0
-    hyb_t0=$(date +%s.%N)
-    run_bench fig11_coh_hybrid \
-        ./bench/fig11_coh "${hf[@]}" --fresh --fidelity hybrid \
-        "${EXTRA[@]}"
-    hyb_t1=$(date +%s.%N)
-    RECORD=1
-    HYBRID_SECONDS=$(elapsed "$hyb_t0" "$hyb_t1")
-    HYBRID_SPEEDUP=$(awk -v e="${MAIN_BY_BENCH[fig11_coh]:-0}" \
-        -v h="$HYBRID_SECONDS" \
-        'BEGIN { printf "%.2f", (h > 0 ? e / h : 0) }')
-    HYBRID_ROW="{\"bench\": \"fig11_coh\", \"seconds\":"
-    HYBRID_ROW+=" $HYBRID_SECONDS, \"exact_event_seconds\":"
-    HYBRID_ROW+=" ${MAIN_BY_BENCH[fig11_coh]:-null},"
-    HYBRID_ROW+=" \"speedup_vs_event\": $HYBRID_SPEEDUP}"
 fi
 
 {
@@ -315,8 +287,7 @@ fi
     echo "  \"serial_total_seconds\": $SERIAL_SECONDS,"
     echo "  \"speedup\": $SPEEDUP,"
     echo "  \"legacy_total_seconds\": $LEGACY_SECONDS,"
-    echo "  \"event_speedup\": $EVENT_SPEEDUP,"
-    echo "  \"hybrid\": $HYBRID_ROW"
+    echo "  \"event_speedup\": $EVENT_SPEEDUP"
     echo "}"
 } > "$SWEEP_JSON"
 
@@ -393,9 +364,7 @@ if [ "$COMPARE_SERIAL" -eq 1 ]; then
 fi
 if [ "$COMPARE_EVENT" -eq 1 ]; then
     echo "legacy-core reference: ${LEGACY_SECONDS}s ->" \
-         "event-core speedup ${EVENT_SPEEDUP}x;" \
-         "hybrid fig11: ${HYBRID_SECONDS}s" \
-         "(${HYBRID_SPEEDUP}x vs exact event)"
+         "event-core speedup ${EVENT_SPEEDUP}x"
 fi
 if [ "${#FAILED[@]}" -gt 0 ]; then
     echo "failed benches: ${FAILED[*]}" >&2

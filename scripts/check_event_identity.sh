@@ -1,7 +1,7 @@
 #!/bin/bash
 # Bit-identity smoke for the event-driven simulation core
 # (DESIGN.md §13): run two full-suite figure benches once on the
-# legacy per-cycle core and once on the event core — exact fidelity,
+# legacy per-cycle core and once on the event core — with
 # fresh caches — and require byte-identical stdout. The figures print
 # every headline metric (COH reduction, spin-win rates, CS shares)
 # across all 25 profiles, so a single cycle of divergence anywhere in

@@ -76,7 +76,6 @@ def check_stats(path):
              "violations recorded")
     check_coh_ledger(path, stats)
     check_wake(path, stats)
-    check_windows(path, stats)
     print(f"{path}: OK ({len(stats)} entries)")
 
 
@@ -151,26 +150,6 @@ def check_wake(path, stats):
             fail(f"{path}: group '{g}' woke {wakes} times in "
                  f"{cycles} profiled cycles")
     print(f"{path}: wake profile OK ({int(cycles)} cycles)")
-
-
-def check_windows(path, stats):
-    """Hybrid fast-path windows: close causes must cover the closes."""
-    opened = stats.get("system.net.window.opened")
-    if opened is None:
-        return
-    closed = stats.get("system.net.window.closed", 0)
-    cycles = stats.get("system.net.window.cycles", 0)
-    causes = sum(stats.get(f"system.net.window.close_{c}", 0)
-                 for c in ("waiter", "lock", "load"))
-    if causes != closed:
-        fail(f"{path}: window close causes sum to {causes} but "
-             f"{closed} windows closed")
-    if closed > opened:
-        fail(f"{path}: {closed} windows closed but only {opened} "
-             "opened")
-    if opened > 0 and cycles <= 0:
-        fail(f"{path}: windows opened but zero window cycles")
-    print(f"{path}: hybrid windows OK ({int(opened)} opened)")
 
 
 def check_telemetry(path):

@@ -307,35 +307,37 @@ RtrChecker::onLockTry(ThreadId tid, unsigned rtr, Cycle now)
 void
 WakeupChecker::onWakeSent(Addr lock, ThreadId tid, Cycle)
 {
-    // A re-send to the same sleeper (watchdog rewake) keeps the one
-    // outstanding entry: it is still one logical wakeup.
-    outstanding_.emplace(lock, tid);
+    Pending &p = pending_[{lock, tid}];
+    ++p.unconsumed;
+    p.sentSinceConsume = true;
     ++sent_;
 }
 
 void
 WakeupChecker::onWakeConsumed(Addr lock, ThreadId tid, Cycle now)
 {
-    auto it = outstanding_.find({lock, tid});
-    if (it == outstanding_.end()) {
+    auto it = pending_.find({lock, tid});
+    if (it == pending_.end() || it->second.unconsumed == 0) {
         report_(CheckId::Wakeup, now,
                 fmt("thread %u consumed a WAKE_UP for lock %llx the "
                     "home never issued (or consumed it twice)", tid,
                     static_cast<unsigned long long>(lock)));
         return;
     }
-    outstanding_.erase(it);
+    --it->second.unconsumed;
+    it->second.sentSinceConsume = false;
     ++consumed_;
 }
 
 void
 WakeupChecker::finalize(bool lossy, Cycle now)
 {
-    if (outstanding_.empty())
-        return;
     if (lossy)
         return; // unrecoverable losses may eat a wake legitimately
-    for (const auto &[lock, tid] : outstanding_) {
+    for (const auto &[key, p] : pending_) {
+        if (!p.sentSinceConsume)
+            continue;
+        const auto &[lock, tid] = key;
         report_(CheckId::Wakeup, now,
                 fmt("lost wakeup: WAKE_UP for thread %u on lock %llx "
                     "was never consumed (%llu sent, %llu consumed)",

@@ -29,8 +29,9 @@
  *  - RtrChecker        RTR is monotonically non-increasing across
  *                      the LockTry packets of one locking attempt
  *                      (Algorithm 1: RTR = MAX_SPIN_COUNT - retries).
- *  - WakeupChecker     no lost futex wakeups: every WAKE_UP the home
- *                      issues is consumed by exactly one sleeper.
+ *  - WakeupChecker     no lost futex wakeups: the last WAKE_UP the
+ *                      home issues to a sleeper is consumed, and no
+ *                      sleeper consumes more wakes than were sent.
  *
  * Checkers are pure observers: they read hook arguments and System
  * oracles but never mutate simulation state, so a checked run is
@@ -44,7 +45,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -248,8 +248,19 @@ class WakeupChecker
     void finalize(bool lossy, Cycle now);
 
   private:
+    /** Wake state of one (lock, sleeper). A watchdog rewake is a
+     * second send that is delivered too, so sends are counted; a
+     * wake is lost only if a send came after the last consumption
+     * (an extra copy absorbed after its twin woke the sleeper is
+     * not). */
+    struct Pending
+    {
+        unsigned unconsumed = 0;
+        bool sentSinceConsume = false;
+    };
+
     ReportFn report_;
-    std::set<std::pair<Addr, ThreadId>> outstanding_;
+    std::map<std::pair<Addr, ThreadId>, Pending> pending_;
     std::uint64_t sent_ = 0;
     std::uint64_t consumed_ = 0;
 };

@@ -67,8 +67,6 @@ traceEvName(TraceEv ev)
       case TraceEv::PktEject: return "PktEject";
       case TraceEv::CrcReject: return "CrcReject";
       case TraceEv::Retransmit: return "Retransmit";
-      case TraceEv::WindowOpen: return "WindowOpen";
-      case TraceEv::WindowClose: return "WindowClose";
       case TraceEv::RunBegin: return "RunBegin";
       case TraceEv::RunEnd: return "RunEnd";
       case TraceEv::WatchdogFired: return "WatchdogFired";
@@ -82,7 +80,7 @@ traceEvCat(TraceEv ev)
 {
     if (ev <= TraceEv::LockHandover)
         return TraceCat::Lock;
-    if (ev <= TraceEv::WindowClose)
+    if (ev <= TraceEv::Retransmit)
         return TraceCat::Noc;
     return TraceCat::Sim;
 }
@@ -185,9 +183,6 @@ evArgs(const TraceRecord &r)
       case TraceEv::CrcReject:
       case TraceEv::Retransmit:
         os << ",\"msg\":" << r.a0 << ",\"val\":" << r.a1;
-        break;
-      case TraceEv::WindowClose:
-        os << ",\"cause\":" << r.a0 << ",\"cycles\":" << r.a1;
         break;
       default:
         if (r.a0 || r.a1)

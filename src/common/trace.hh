@@ -82,8 +82,6 @@ enum class TraceEv : std::uint8_t
     PktEject,         ///< packet reassembled and delivered at the sink
     CrcReject,        ///< corrupted packet discarded at ejection
     Retransmit,       ///< unacked packet re-sent; a1 = attempt
-    WindowOpen,       ///< hybrid fast-path window opened
-    WindowClose,      ///< window closed; a0 = cause, a1 = cycles open
 
     // --- simulation phases (cat Sim) --------------------------------
     RunBegin,         ///< Simulator::run entered

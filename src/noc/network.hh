@@ -7,7 +7,6 @@
 #define OCOR_NOC_NETWORK_HH
 
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/active_set.hh"
@@ -34,26 +33,11 @@ struct NetworkStats
     SampleStat packetLatency;      ///< inject -> eject, all packets
     SampleStat lockPacketLatency;  ///< lock-protocol packets only
     SampleStat dataPacketLatency;  ///< everything else
-
-    /** Packets delivered by the hybrid-fidelity analytic fast path
-     * instead of per-flit mesh transport (0 under exact fidelity). */
-    std::uint64_t fastpathPackets = 0;
     /** Latency distributions feeding p50/p95/p99 reporting. Bucket
      * width 2 cycles x 256 buckets covers [0, 512); longer transits
      * land in the explicit overflow bucket. */
     Histogram packetLatencyHist{2.0, 256};
     Histogram lockPacketLatencyHist{2.0, 256};
-
-    // --- hybrid-window diagnostics (all zero in exact fidelity).
-    //     windowCycles counts open->close spans (finalizeWindows
-    //     folds in a still-open tail); the three close-cause
-    //     counters sum to windowsClosed. --------------------------
-    std::uint64_t windowsOpened = 0;
-    std::uint64_t windowsClosed = 0;
-    std::uint64_t windowCycles = 0;
-    std::uint64_t windowCloseWaiter = 0; ///< a lock waiter appeared
-    std::uint64_t windowCloseLock = 0;   ///< lock packet with 0 waiters
-    std::uint64_t windowCloseLoad = 0;   ///< population over capacity
 };
 
 /**
@@ -65,7 +49,6 @@ enum class NetWakeReason : std::uint8_t
 {
     RouterBusy, ///< some router still buffers flits
     LinkBusy,   ///< some link carries a flit or credit
-    Fastpath,   ///< pending analytic delivery due
     NiQueue,    ///< an NI-local queue has timed work
     Idle,       ///< nothing due (wake was external/stale)
     NumReasons
@@ -140,40 +123,6 @@ class Network
      * (wake-profiler attribution; same walk order as nextWake). */
     NetWakeReason wakeReason(Cycle now) const;
 
-    /** Fold a still-open hybrid window's cycles into the stats at
-     * end of run (no close cause is charged: the run ended, the
-     * window did not close). Idempotent. */
-    void finalizeWindows(Cycle now);
-
-    /**
-     * Arm the hybrid-fidelity fast path. @p waiters points at the
-     * System's live count of threads waiting on any lock word; while
-     * it reads zero, send() delivers non-lock-protocol packets with
-     * the analytic latency model instead of injecting flits. The
-     * moment a waiter appears, new sends fall back to exact per-flit
-     * transport (in-flight analytic deliveries still complete on
-     * their scheduled cycle). Null (the default) disables the fast
-     * path entirely — the exact-fidelity configuration.
-     */
-    void setFastpath(const unsigned *waiters)
-    {
-        fastWaiters_ = waiters;
-    }
-
-    /**
-     * Hybrid-fidelity latency estimate for @p pkt: NI entry/exit,
-     * per-hop pipeline + link traversal, body-flit serialization and
-     * a load-proportional contention term derived from the number of
-     * concurrently in-flight fast-path packets. Deterministic given
-     * the simulation state. Exposed for tests and calibration.
-     */
-    Cycle analyticLatency(const Packet &pkt) const;
-
-    /** The load-independent part of analyticLatency(): NI entry/exit,
-     * per-hop pipeline + link traversal and body-flit serialization
-     * (1 for same-node loopback). Also the re-transit budget used
-     * when pending analytic deliveries are reified into the mesh. */
-    Cycle uncontendedLatency(const Packet &pkt) const;
 
     NetworkInterface &ni(NodeId n) { return *nis_[n]; }
     Router &router(NodeId n) { return *routers_[n]; }
@@ -186,8 +135,7 @@ class Network
     std::uint64_t totalPacketsInjected() const;
     std::uint64_t totalLockPacketsInjected() const;
 
-    /** Hand every router and NI (and the window diagnostics) the
-     * event tracer (null = off). */
+    /** Hand every router and NI the event tracer (null = off). */
     void setTracer(Tracer *t);
 
     /** Hand every router, NI and link the invariant checker. */
@@ -201,9 +149,6 @@ class Network
     const Link &link(unsigned i) const { return *links_[i]; }
 
   private:
-    void fastSend(const PacketPtr &pkt, Cycle now);
-    void drainFastpath(Cycle now);
-
     /** Drop router / NI @p n from its active set if quiescent. */
     void
     settleRouter(NodeId n)
@@ -230,41 +175,6 @@ class Network
     ActiveSet activeNis_;
     std::uint64_t routersTicked_ = 0;
     std::uint64_t nisTicked_ = 0;
-
-    /** In-flight analytic deliveries, ordered by (arrival, push
-     * sequence) for deterministic same-cycle delivery order. */
-    struct FastEntry
-    {
-        Cycle at;
-        std::uint64_t seq;
-        PacketPtr pkt;
-        bool operator>(const FastEntry &o) const
-        {
-            return at != o.at ? at > o.at : seq > o.seq;
-        }
-    };
-    std::priority_queue<FastEntry, std::vector<FastEntry>,
-                        std::greater<>>
-        fastQueue_;
-    std::uint64_t fastSeq_ = 0;
-
-    /** Packets handed to send() since construction; sendsTotal_ -
-     * packetsDelivered is the outstanding population feeding the
-     * analytic contention term (counted send-side so loopback and
-     * NI-queued packets are included — see analyticLatency()). */
-    std::uint64_t sendsTotal_ = 0;
-
-    /** Hybrid window oracle (null = exact fidelity). */
-    const unsigned *fastWaiters_ = nullptr;
-
-    /** Window state for the close-transition congestion correction
-     * in send(): the cycle the last open window closed, and whether
-     * the most recent send saw an open window. */
-    bool windowOpen_ = false;
-    Cycle windowClosedAt_ = neverCycle;
-    Cycle windowOpenedAt_ = neverCycle;
-
-    Tracer *trace_ = nullptr; ///< window open/close events only
 
     NetworkStats stats_;
 };

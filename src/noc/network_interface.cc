@@ -70,20 +70,6 @@ NetworkInterface::onAcked(std::uint64_t seq, Cycle)
 }
 
 void
-NetworkInterface::deliverDirect(const PacketPtr &pkt, Cycle now)
-{
-    pkt->ejectCycle = now;
-    ++stats_.packetsEjected;
-    if (trace_)
-        trace_->record(TraceCat::Noc, TraceEv::PktEject, now, id_,
-                       invalidThread, 0, pkt->id,
-                       static_cast<std::uint32_t>(pkt->type),
-                       pkt->src);
-    if (deliver_)
-        deliver_(pkt, now);
-}
-
-void
 NetworkInterface::checkRetransmits(Cycle now)
 {
     const FaultConfig &cfg = fault_->config();

@@ -52,14 +52,6 @@ struct SystemConfig
     /** Base address of the lock-word region. */
     Addr lockRegionBase = 0x1000'0000;
 
-    /**
-     * NoC modeling fidelity (see common/types.hh). Hybrid is
-     * incompatible with fault injection and runtime invariant
-     * checking: both reason about per-flit mesh transport, which the
-     * analytic fast path bypasses. validate() enforces this.
-     */
-    Fidelity fidelity = Fidelity::Exact;
-
     /** Event tracing (off by default: categories == 0). */
     TraceConfig trace;
 

@@ -38,16 +38,13 @@ struct RunMetrics
     std::uint64_t flitsInjected = 0;
     std::uint64_t lockPacketsInjected = 0;
 
-    /** Packets delivered by the hybrid analytic fast path (0 under
-     * exact fidelity). */
+    /** Always 0; the frozen perfbench fingerprint reads it. */
     std::uint64_t fastpathPackets = 0;
-
-    // Hybrid fast-path window lifecycle (all zero under exact
-    // fidelity). windowCycles / roiFinish is the run's window
-    // coverage; a run that ends mid-window counts the open tail but
-    // no extra close.
+    /** Always 0; perfbench and the journal row layout read it. */
     std::uint64_t windowsOpened = 0;
+    /** Always 0; perfbench and the journal row layout read it. */
     std::uint64_t windowsClosed = 0;
+    /** Always 0; perfbench and the journal row layout read it. */
     std::uint64_t windowCycles = 0;
     double avgPacketLatency = 0.0;
     double avgLockPacketLatency = 0.0;

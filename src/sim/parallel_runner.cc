@@ -1,12 +1,9 @@
 #include "sim/parallel_runner.hh"
 
 #include <chrono>
-#include <cmath>
 #include <exception>
 
 #include "common/log.hh"
-#include "common/rng.hh"
-#include "noc/fault.hh"
 #include "sim/crashdump.hh"
 
 namespace ocor
@@ -22,8 +19,6 @@ runStatusName(RunStatus s)
         return "timed-out";
       case RunStatus::Failed:
         return "failed";
-      case RunStatus::Quarantined:
-        return "quarantined";
     }
     return "?";
 }
@@ -42,12 +37,11 @@ void
 ParallelRunner::setSupervision(const SupervisePolicy &policy)
 {
     policy_ = policy;
-    if (policy_.enabled && policy_.deadlineSeconds > 0.0 &&
-        !watchdog_.joinable()) {
+    if (policy_.deadlineSeconds > 0.0 && !watchdog_.joinable()) {
         wdStop_ = false;
         watchdog_ = std::thread([this]() { watchdogLoop(); });
     }
-    if (!policy_.enabled)
+    if (policy_.deadlineSeconds <= 0.0)
         stopWatchdog();
 }
 
@@ -148,140 +142,66 @@ ParallelRunner::runOne(const RunRequest &req)
 }
 
 RunMetrics
-ParallelRunner::attemptOnce(const RunRequest &req, double deadline)
-{
-    CancelToken token;
-    Simulator::Options opts;
-    std::uint64_t armId = 0;
-    if (deadline > 0.0) {
-        opts.cancel = &token;
-        armId = armDeadline(deadline, &token);
-    }
-    RunMetrics m = cache_
-        ? cache_->get(req.profile, req.exp, req.ocorEnabled, opts)
-        : runOnce(req.profile, req.exp, req.ocorEnabled, opts);
-    if (armId != 0)
-        disarmDeadline(armId);
-    return m;
-}
-
-RunMetrics
 ParallelRunner::runSupervised(const RunRequest &req,
                               RunOutcome &outcome)
 {
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
-    const std::string key =
-        makeCacheKey(req.profile, req.exp, req.ocorEnabled)
-            .toString();
+    const double deadline = deadlineFor(req);
+    CancelToken token;
+    Simulator::Options opts;
+    opts.cancel = &token;
+    const std::uint64_t armId = armDeadline(deadline, &token);
+    RunMetrics m;
+    bool threw = false;
+    try {
+        m = cache_
+            ? cache_->get(req.profile, req.exp, req.ocorEnabled, opts)
+            : runOnce(req.profile, req.exp, req.ocorEnabled, opts);
+    } catch (const std::exception &e) {
+        threw = true;
+        outcome.detail = e.what();
+    }
+    disarmDeadline(armId);
+    outcome.seconds =
+        std::chrono::duration<double>(clock::now() - t0).count();
 
-    // Empty-but-well-formed placeholder for degraded requests, so
+    // A throwing run leaves m default-constructed: neither flag set.
+    if (m.cancelled) {
+        outcome.status = RunStatus::TimedOut;
+        outcome.detail = "deadline of " + std::to_string(deadline) +
+            "s exceeded";
+    } else if (threw || m.hangDetected) {
+        outcome.status = RunStatus::Failed;
+        if (!threw)
+            outcome.detail = "forward-progress watchdog fired";
+    }
+    const bool ok = outcome.status == RunStatus::Ok;
+    {
+        std::lock_guard<std::mutex> lk(statsMu_);
+        runSeconds_.sample(outcome.seconds);
+        ++runsExecuted_;
+        if (outcome.status == RunStatus::TimedOut)
+            ++timeouts_;
+        else if (outcome.status == RunStatus::Failed)
+            ++failures_;
+        if (!ok)
+            ++degraded_;
+    }
+    crashdump::noteRunnerProgress(runsExecuted(), degradedRuns());
+    if (ok)
+        return m;
+
+    ocor_warn("supervised run %s %s (%s)",
+              makeCacheKey(req.profile, req.exp, req.ocorEnabled)
+                  .toString()
+                  .c_str(),
+              runStatusName(outcome.status), outcome.detail.c_str());
+    // Empty-but-well-formed placeholder for the degraded request, so
     // downstream percentage math (which guards division by zero)
     // keeps working.
     RunMetrics empty;
     empty.threads = req.exp.threads;
-
-    {
-        std::lock_guard<std::mutex> lk(statsMu_);
-        auto it = failCounts_.find(key);
-        if (it != failCounts_.end() &&
-            it->second >= policy_.quarantineAfter) {
-            outcome.status = RunStatus::Quarantined;
-            outcome.detail = "config quarantined after " +
-                std::to_string(it->second) + " failed attempts";
-            ++quarantined_;
-            ++degraded_;
-            return empty;
-        }
-    }
-
-    const double deadline = deadlineFor(req);
-    bool lastWasTimeout = false;
-    std::string lastDetail;
-    for (unsigned attempt = 1; attempt <= policy_.maxAttempts;
-         ++attempt) {
-        outcome.attempts = attempt;
-        RunMetrics m;
-        bool threw = false;
-        try {
-            m = attemptOnce(req, deadline);
-        } catch (const std::exception &e) {
-            threw = true;
-            lastDetail = e.what();
-        }
-        const double secs =
-            std::chrono::duration<double>(clock::now() - t0).count();
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            runSeconds_.sample(secs);
-            ++runsExecuted_;
-        }
-
-        const bool timedOut = !threw && m.cancelled;
-        const bool hung = !threw && m.hangDetected;
-        if (!threw && !timedOut && !hung) {
-            outcome.status = RunStatus::Ok;
-            outcome.seconds = secs;
-            crashdump::noteRunnerProgress(runsExecuted(),
-                                          degradedRuns());
-            return m;
-        }
-
-        // Attempt failed: account, maybe back off and retry.
-        lastWasTimeout = timedOut;
-        if (timedOut)
-            lastDetail = "deadline of " + std::to_string(deadline) +
-                "s exceeded";
-        else if (hung)
-            lastDetail = "forward-progress watchdog fired";
-        unsigned fails;
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            fails = ++failCounts_[key];
-            if (timedOut)
-                ++timeouts_;
-            else
-                ++failures_;
-        }
-        ocor_warn("supervised run %s attempt %u/%u %s (%s)",
-                  key.c_str(), attempt, policy_.maxAttempts,
-                  timedOut ? "timed out" : "failed",
-                  lastDetail.c_str());
-        if (attempt == policy_.maxAttempts ||
-            fails >= policy_.quarantineAfter)
-            break;
-
-        // Deterministic seeded backoff: the delay for retry k of a
-        // given (key, seed) is reproducible run to run (Mutable
-        // Locks-style escalation: doubling wait, bounded, jittered
-        // to avoid lockstep retries across workers).
-        double delay = std::min(
-            policy_.backoffMaxSeconds,
-            policy_.backoffBaseSeconds *
-                std::ldexp(1.0, static_cast<int>(attempt) - 1));
-        Rng rng(crc32Update(0, key.data(), key.size()) ^
-                (req.exp.seed << 20) ^ attempt);
-        delay *= 1.0 +
-            (rng.uniform() * 2.0 - 1.0) * policy_.backoffJitter;
-        if (delay > 0.0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(delay));
-        {
-            std::lock_guard<std::mutex> lk(statsMu_);
-            ++retries_;
-        }
-    }
-
-    outcome.status =
-        lastWasTimeout ? RunStatus::TimedOut : RunStatus::Failed;
-    outcome.detail = lastDetail;
-    outcome.seconds =
-        std::chrono::duration<double>(clock::now() - t0).count();
-    {
-        std::lock_guard<std::mutex> lk(statsMu_);
-        ++degraded_;
-    }
-    crashdump::noteRunnerProgress(runsExecuted(), degradedRuns());
     return empty;
 }
 
@@ -325,20 +245,6 @@ ParallelRunner::failures() const
 {
     std::lock_guard<std::mutex> lk(statsMu_);
     return failures_;
-}
-
-std::uint64_t
-ParallelRunner::retries() const
-{
-    std::lock_guard<std::mutex> lk(statsMu_);
-    return retries_;
-}
-
-std::uint64_t
-ParallelRunner::quarantined() const
-{
-    std::lock_guard<std::mutex> lk(statsMu_);
-    return quarantined_;
 }
 
 double
@@ -389,12 +295,6 @@ ParallelRunner::registerStats(StatsRegistry &reg,
     reg.addScalarFn(prefix + ".failures", [this]() {
         return static_cast<double>(failures());
     });
-    reg.addScalarFn(prefix + ".retries", [this]() {
-        return static_cast<double>(retries());
-    });
-    reg.addScalarFn(prefix + ".quarantined", [this]() {
-        return static_cast<double>(quarantined());
-    });
     reg.addScalarFn(prefix + ".degraded", [this]() {
         return static_cast<double>(degradedRuns());
     });
@@ -403,7 +303,7 @@ ParallelRunner::registerStats(StatsRegistry &reg,
 std::vector<RunMetrics>
 ParallelRunner::run(const std::vector<RunRequest> &reqs)
 {
-    const bool supervised = policy_.enabled;
+    const bool supervised = policy_.deadlineSeconds > 0.0;
     // Outcomes exist only under supervision: the unsupervised engine
     // has no degraded states to report.
     std::vector<RunOutcome> outs(supervised ? reqs.size() : 0);

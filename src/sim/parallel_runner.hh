@@ -2,7 +2,7 @@
  * @file
  * Parallel experiment engine: fans a suite of (profile, OCOR on/off)
  * simulations across a worker pool, optionally under supervision
- * (per-request deadlines, seeded retry with backoff, quarantine).
+ * (per-request wall-clock deadlines).
  *
  * Every Simulator::run owns its own System, and every stochastic
  * component draws from RNGs seeded purely from (config, seed), so
@@ -16,14 +16,12 @@
  *
  * Supervision (DESIGN.md §12) is off by default and adds nothing to
  * the unsupervised path, which stays bit-identical to the
- * pre-supervision engine. With a SupervisePolicy installed, every
- * request gets a wall-clock deadline derived from its profile's
- * expected work; a deadline miss cancels the simulation
- * cooperatively, failed attempts retry with deterministic seeded
- * exponential backoff + jitter, and configurations that keep failing
- * are quarantined so one bad config cannot take a sweep down. The
- * sweep then completes with a per-request RunStatus instead of
- * aborting.
+ * pre-supervision engine. With a deadline installed, every request
+ * gets a wall-clock budget derived from its expected work; a miss
+ * cancels the simulation cooperatively, and the sweep completes with
+ * a per-request RunStatus instead of aborting. A failed request is
+ * not retried: simulations are deterministic, so a second attempt
+ * would fail the same way.
  */
 
 #ifndef OCOR_SIM_PARALLEL_RUNNER_HH
@@ -56,10 +54,9 @@ struct RunRequest
 /** Terminal state of one supervised request. */
 enum class RunStatus : std::uint8_t
 {
-    Ok,          ///< completed (possibly after retries)
-    TimedOut,    ///< every attempt hit its wall-clock deadline
-    Failed,      ///< every attempt failed (hang / exception)
-    Quarantined  ///< config exceeded the failure budget; not run
+    Ok,       ///< completed
+    TimedOut, ///< hit its wall-clock deadline
+    Failed    ///< failed (hang / exception)
 };
 
 /** Stable lowercase name ("ok", "timed-out", ...). */
@@ -69,37 +66,19 @@ const char *runStatusName(RunStatus s);
 struct RunOutcome
 {
     RunStatus status = RunStatus::Ok;
-    unsigned attempts = 0;   ///< simulation attempts consumed
-    double seconds = 0.0;    ///< wall clock across all attempts
+    double seconds = 0.0;    ///< wall clock of the run
     std::string detail;      ///< human-readable failure context
 };
 
-/** Watchdog / retry / quarantine policy (all knobs per request). */
+/** Supervision policy: on iff deadlineSeconds > 0. */
 struct SupervisePolicy
 {
     /**
      * Base wall-clock deadline in seconds for a 16-thread,
      * 4-iteration request; scaled linearly with threads x iterations
-     * (deadlineFor()). 0 disables deadlines.
+     * (deadlineFor()). 0 disables supervision.
      */
     double deadlineSeconds = 0.0;
-
-    /** Total attempts per request (first try + retries). */
-    unsigned maxAttempts = 3;
-
-    /** Backoff before retry k is base * 2^(k-1), capped, with
-     * +/- jitter drawn from a deterministic per-(key, attempt) RNG. */
-    double backoffBaseSeconds = 0.05;
-    double backoffMaxSeconds = 2.0;
-    double backoffJitter = 0.25; ///< fraction of the delay
-
-    /** Attempt failures (across requests) after which a cache key is
-     * quarantined: subsequent requests short-circuit. */
-    unsigned quarantineAfter = 3;
-
-    /** Supervision master switch; when false the runner behaves
-     * exactly like the unsupervised engine. */
-    bool enabled = false;
 };
 
 /** Pool-backed experiment runner; optionally cache-write-through. */
@@ -120,8 +99,6 @@ class ParallelRunner
     /** Install (or disable) the supervision policy. Not thread-safe
      * against concurrent run() calls; set it up front. */
     void setSupervision(const SupervisePolicy &policy);
-
-    const SupervisePolicy &supervision() const { return policy_; }
 
     /** Deadline in seconds for @p req under the current policy:
      * deadlineSeconds x (threads/16) x (iterations/4), floored at
@@ -157,8 +134,6 @@ class ParallelRunner
     /** Lifetime supervision counters. */
     std::uint64_t timeouts() const;
     std::uint64_t failures() const;
-    std::uint64_t retries() const;
-    std::uint64_t quarantined() const;
 
     /** Wall-clock seconds per simulated run (thread-safe). */
     SampleStat runSeconds() const;
@@ -184,12 +159,9 @@ class ParallelRunner
   private:
     RunMetrics runOne(const RunRequest &req);
 
-    /** Supervised wrapper: deadline + retry + quarantine. */
+    /** Supervised wrapper: one run under its deadline. */
     RunMetrics runSupervised(const RunRequest &req,
                              RunOutcome &outcome);
-
-    /** One attempt under a deadline token; returns the metrics. */
-    RunMetrics attemptOnce(const RunRequest &req, double deadline);
 
     // --- deadline watchdog ------------------------------------------
     struct ActiveRun
@@ -198,7 +170,7 @@ class ParallelRunner
         CancelToken *token;
     };
 
-    /** Register/unregister an attempt with the watchdog thread. */
+    /** Register/unregister a run with the watchdog thread. */
     std::uint64_t armDeadline(double seconds, CancelToken *token);
     void disarmDeadline(std::uint64_t id);
     void watchdogLoop();
@@ -214,13 +186,8 @@ class ParallelRunner
     std::uint64_t runsExecuted_ = 0;
     std::uint64_t timeouts_ = 0;
     std::uint64_t failures_ = 0;
-    std::uint64_t retries_ = 0;
-    std::uint64_t quarantined_ = 0;
     std::uint64_t degraded_ = 0;
     std::vector<RunOutcome> outcomes_; ///< last run(), request order
-
-    /** Attempt-failure counts and quarantine set, by cache key. */
-    std::map<std::string, unsigned> failCounts_;
 
     // Watchdog state (separate mutex: armed/disarmed on the hot
     // request path, scanned by the watchdog thread).

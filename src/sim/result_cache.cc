@@ -37,14 +37,9 @@ makeCacheKey(const BenchmarkProfile &profile,
 {
     CacheKey key;
     key.benchmark = profile.name;
-    // Hybrid-fidelity results are approximations; never let them
-    // satisfy (or be satisfied by) an exact-fidelity lookup. A name
-    // suffix keeps the journal format unchanged, so existing exact
-    // journals stay valid.
-    if (exp.fidelity == Fidelity::Hybrid)
-        key.benchmark += "+hybrid";
     // Ledger runs carry COH cause counters a plain run's cached row
-    // lacks; the same suffix trick keeps them from cross-satisfying.
+    // lacks; a name suffix keeps them from cross-satisfying while the
+    // journal format stays unchanged.
     if (exp.cohLedger)
         key.benchmark += "+ledger";
     key.threads = exp.threads;
@@ -127,8 +122,11 @@ metricsToTsv(const RunMetrics &m)
        << m.p95LockHandover << '\t' << m.p99LockHandover << '\t'
        << sum.cohTransferCycles << '\t' << sum.cohArbitrationCycles
        << '\t' << sum.cohBackoffCycles << '\t' << sum.cohSleepCycles
-       << '\t' << sum.cohGrantGapCycles << '\t' << m.windowsOpened
-       << '\t' << m.windowsClosed << '\t' << m.windowCycles;
+       << '\t' << sum.cohGrantGapCycles
+       // The three window columns always hold 0; they stay so the
+       // row layout (and every existing journal) stays valid.
+       << '\t' << m.windowsOpened << '\t' << m.windowsClosed << '\t'
+       << m.windowCycles;
     return os.str();
 }
 

@@ -141,13 +141,20 @@ Simulator::tryBudget(ThreadId t, Addr lock)
 {
     BudgetMemo &memo = budgetMemo_[t];
     if (memo.lock != lock) {
-        Packet p;
-        p.src = system_->pcb(t).node;
-        p.dst = system_->addressMap().homeOf(lock);
-        p.numFlits = 1;
+        const NodeId src = system_->pcb(t).node;
+        const NodeId dst = system_->addressMap().homeOf(lock);
+        const Network &net = system_->network();
+        // Uncontended transit of a 1-flit lock packet: one cycle into
+        // the mesh, the router pipeline plus link traversal per hop,
+        // one cycle out (same-node traffic takes the 1-cycle
+        // loopback).
+        const Cycle transit = src == dst
+            ? 1
+            : 2 + net.mesh().hops(src, dst) *
+                      (net.params().routerStages +
+                       net.params().linkLatency);
         memo.lock = lock;
-        memo.budget = 2 * system_->network().uncontendedLatency(p)
-            + cfg_.os.homeLatency;
+        memo.budget = 2 * transit + cfg_.os.homeLatency;
     }
     return memo.budget;
 }
@@ -605,17 +612,10 @@ Simulator::run()
     for (ThreadId t = 0; t < m.threads; ++t)
         m.perThread.push_back(system_->pcb(t).counters);
 
-    Network &net = system_->network();
-    // Fold the still-open hybrid window's tail into windowCycles so
-    // coverage never under-reports a run that ends mid-window.
-    net.finalizeWindows(now_);
-    m.windowsOpened = net.stats().windowsOpened;
-    m.windowsClosed = net.stats().windowsClosed;
-    m.windowCycles = net.stats().windowCycles;
+    const Network &net = system_->network();
     m.packetsInjected = net.totalPacketsInjected();
     m.flitsInjected = net.totalFlitsInjected();
     m.lockPacketsInjected = net.totalLockPacketsInjected();
-    m.fastpathPackets = net.stats().fastpathPackets;
     m.avgPacketLatency = net.stats().packetLatency.mean();
     m.avgLockPacketLatency = net.stats().lockPacketLatency.mean();
     m.avgDataPacketLatency = net.stats().dataPacketLatency.mean();

@@ -77,14 +77,6 @@ System::System(const SystemConfig &cfg, std::vector<Program> programs,
     }
     refreshWakes();
 
-    if (cfg_.fidelity == Fidelity::Hybrid) {
-        // The qspinlocks maintain the live waiter count; the network
-        // reads it to decide when the analytic fast path is safe.
-        for (auto &qs : qspins_)
-            qs->setWaiterCounter(&activeWaiters_);
-        network_->setFastpath(&activeWaiters_);
-    }
-
     if (cfg_.trace.enabled()) {
         tracer_ = std::make_unique<Tracer>(cfg_.trace);
         network_->setTracer(tracer_.get());
@@ -125,8 +117,6 @@ System::registerStats(StatsRegistry &reg, const std::string &prefix)
                   &net.packetsDelivered);
     reg.addScalar(prefix + ".net.lock_packets_delivered",
                   &net.lockPacketsDelivered);
-    reg.addScalar(prefix + ".net.fastpath_packets",
-                  &net.fastpathPackets);
     reg.addSample(prefix + ".net.packet_latency", &net.packetLatency);
     reg.addSample(prefix + ".net.lock_packet_latency",
                   &net.lockPacketLatency);
@@ -139,21 +129,6 @@ System::registerStats(StatsRegistry &reg, const std::string &prefix)
     reg.addScalarFn(prefix + ".net.flits_injected", [this]() {
         return static_cast<double>(network_->totalFlitsInjected());
     });
-
-    if (cfg_.fidelity == Fidelity::Hybrid) {
-        reg.addScalar(prefix + ".net.window.opened",
-                      &net.windowsOpened);
-        reg.addScalar(prefix + ".net.window.closed",
-                      &net.windowsClosed);
-        reg.addScalar(prefix + ".net.window.cycles",
-                      &net.windowCycles);
-        reg.addScalar(prefix + ".net.window.close_waiter",
-                      &net.windowCloseWaiter);
-        reg.addScalar(prefix + ".net.window.close_lock",
-                      &net.windowCloseLock);
-        reg.addScalar(prefix + ".net.window.close_load",
-                      &net.windowCloseLoad);
-    }
 
     const unsigned nodes = cfg_.mesh.numNodes();
     for (NodeId n = 0; n < nodes; ++n) {
@@ -481,7 +456,6 @@ System::groupSignature(unsigned g) const
         // item is after.
         const NetworkStats &ns = network_->stats();
         s = sigFold(s, ns.packetsDelivered);
-        s = sigFold(s, ns.fastpathPackets);
         const unsigned nodes = cfg_.mesh.numNodes();
         for (NodeId n = 0; n < nodes; ++n) {
             const RouterStats &rs = network_->router(n).stats();

@@ -262,11 +262,6 @@ class System
      * been queued); the network slot runs first within a cycle, so
      * nothing can move its due cycle earlier in between. */
     Cycle netWake_ = 0;
-
-    /** Threads currently waiting on any lock word (hybrid-fidelity
-     * window oracle; maintained by the qspinlocks only when
-     * cfg.fidelity == Hybrid). */
-    unsigned activeWaiters_ = 0;
 };
 
 } // namespace ocor

@@ -404,6 +404,31 @@ TEST(WakeupChecker, WatchdogRewakeStaysOneLogicalWakeup)
     EXPECT_TRUE(sink.got.empty());
 }
 
+TEST(WakeupChecker, OriginalPlusRewakeBothConsumedIsClean)
+{
+    // A watchdog rewake is a second delivered send: the sleeper may
+    // consume both copies without either counting as unissued.
+    Sink sink;
+    WakeupChecker ck(sink.fn());
+    ck.onWakeSent(0x200, 3, 10);
+    ck.onWakeSent(0x200, 3, 500);
+    ck.onWakeConsumed(0x200, 3, 505);
+    ck.onWakeConsumed(0x200, 3, 510);
+    ck.finalize(false, 600);
+    EXPECT_TRUE(sink.got.empty());
+}
+
+TEST(WakeupChecker, OneSendConsumedTwiceFires)
+{
+    Sink sink;
+    WakeupChecker ck(sink.fn());
+    ck.onWakeSent(0x200, 3, 10);
+    ck.onWakeConsumed(0x200, 3, 25);
+    EXPECT_TRUE(sink.got.empty());
+    ck.onWakeConsumed(0x200, 3, 40);
+    EXPECT_TRUE(sink.has(CheckId::Wakeup, "consumed it twice"));
+}
+
 TEST(WakeupChecker, ConsumeWithoutSendFires)
 {
     Sink sink;

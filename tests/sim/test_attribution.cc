@@ -1,8 +1,7 @@
 /**
  * @file
  * Causal-attribution layer tests (DESIGN.md §14): the COH cause
- * ledger, the event-core wake profiler and the hybrid-window
- * diagnostics. The two hard promises enforced here are (1) the
+ * ledger and the event-core wake profiler. The two hard promises enforced here are (1) the
  * instrumentation is invisible when off — field-exact metrics — and
  * stays result-neutral when on, and (2) the cause split is exact:
  * per thread and per lock, the five cause counters sum to the COH
@@ -264,54 +263,4 @@ TEST(Attribution, WakeStatsMergeAddsFieldwise)
     EXPECT_EQ(a.edges[GCore][GNetwork], 12u);
     EXPECT_EQ(a.netReasons[0], 3u);
     EXPECT_EQ(a.cyclesProfiled, 30u);
-}
-
-TEST(Attribution, HybridWindowLifecycleIsConsistent)
-{
-    SystemConfig cfg = smallConfig();
-    cfg.maxCycles = 4'000'000;
-    cfg.fidelity = Fidelity::Hybrid;
-    BgTrafficConfig bg;
-    bg.rate = 0.05;
-    RunMetrics m = runWith(cfg, {}, bg, 4);
-    EXPECT_FALSE(m.hangDetected);
-
-    // Background traffic under light contention opens windows and
-    // closes them again when waiters appear.
-    EXPECT_GT(m.windowsOpened, 0u);
-    EXPECT_GT(m.fastpathPackets, 0u);
-    // Every close had an open; at most the final window stays open.
-    EXPECT_LE(m.windowsClosed, m.windowsOpened);
-    EXPECT_GE(m.windowsClosed + 1, m.windowsOpened);
-    // Coverage is a fraction of the run.
-    EXPECT_LE(m.windowCycles, m.roiFinish);
-    EXPECT_GT(m.windowCycles, 0u);
-}
-
-TEST(Attribution, WindowCloseCausesSumToCloses)
-{
-    SystemConfig cfg = smallConfig();
-    cfg.maxCycles = 4'000'000;
-    cfg.fidelity = Fidelity::Hybrid;
-    BgTrafficConfig bg;
-    bg.rate = 0.05;
-    SimOptions opts;
-    Simulator sim(cfg, contendedPrograms(cfg.numThreads, 4), bg,
-                  opts);
-    sim.run();
-    const NetworkStats &ns = sim.system().network().stats();
-    EXPECT_EQ(ns.windowCloseWaiter + ns.windowCloseLock +
-                  ns.windowCloseLoad,
-              ns.windowsClosed);
-    // This workload closes windows because lock waiters appear.
-    EXPECT_GT(ns.windowCloseWaiter + ns.windowCloseLock, 0u);
-}
-
-TEST(Attribution, ExactFidelityNeverOpensWindows)
-{
-    SystemConfig cfg = smallConfig();
-    RunMetrics m = runWith(cfg, {});
-    EXPECT_EQ(m.windowsOpened, 0u);
-    EXPECT_EQ(m.windowsClosed, 0u);
-    EXPECT_EQ(m.windowCycles, 0u);
 }

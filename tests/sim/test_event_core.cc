@@ -2,16 +2,14 @@
  * @file
  * Event-driven core equivalence tests (DESIGN.md §13).
  *
- * The event core exists purely for wall-clock speed: under exact
- * fidelity it must be *bit-identical* to the legacy unconditional
- * per-cycle loop. These tests enforce that promise field-by-field
- * over randomized configurations (mesh size, thread count, OCOR
- * on/off, background traffic, fault seeds), byte-for-byte on trace
+ * The event core exists purely for wall-clock speed: it must be
+ * *bit-identical* to the legacy unconditional per-cycle loop. These
+ * tests enforce that promise field-by-field over randomized
+ * configurations (mesh size, thread count, OCOR on/off, background
+ * traffic, fault seeds), byte-for-byte on trace
  * exports, and with every protocol checker armed. The ActiveSets
  * group checks the event core's bookkeeping white-box after every
- * processed cycle, and a final group smoke-tests the hybrid fast
- * path, which is approximate by design and only held to loose
- * bounds.
+ * processed cycle.
  */
 
 #include <gtest/gtest.h>
@@ -237,7 +235,7 @@ const MeshShape kWideMesh{12, 9};
 // ---- white-box reference definitions ----------------------------------
 
 /** Network::nextWake() as defined before the active sets: a full
- * scan of every router, link and NI. Exact fidelity only. */
+ * scan of every router, link and NI. */
 Cycle
 referenceNextWake(Network &net, Cycle now)
 {
@@ -582,77 +580,4 @@ TEST(EventCore, ResolvedModeDefaultsToEvent)
     // environment overrides); the tests run without OCOR_SIM_CORE so
     // assert only that Auto resolved to *something* concrete.
     EXPECT_NE(sim.resolvedCoreMode(), SimCoreMode::Auto);
-}
-
-// ---- hybrid fidelity (approximate by design) --------------------------
-
-TEST(HybridFidelity, SmokeCompletesAndUsesFastpath)
-{
-    SystemConfig cfg;
-    cfg.mesh = MeshShape{2, 2};
-    cfg.numThreads = 4;
-    cfg.maxCycles = 4'000'000;
-    BgTrafficConfig bg;
-    bg.rate = 0.05;
-
-    RunMetrics exact = runWith(cfg, bg, SimCoreMode::Event, 4);
-    cfg.fidelity = Fidelity::Hybrid;
-    RunMetrics hybrid = runWith(cfg, bg, SimCoreMode::Event, 4);
-
-    // Functional results are exact regardless of fidelity: every
-    // lock is acquired the same number of times and all work retires.
-    EXPECT_FALSE(hybrid.hangDetected);
-    EXPECT_LT(hybrid.roiFinish, cfg.maxCycles);
-    EXPECT_EQ(hybrid.totalAcquisitions(), exact.totalAcquisitions());
-
-    // The analytic path actually carried traffic...
-    EXPECT_GT(hybrid.fastpathPackets, 0u);
-    // ...and the timing approximation stays within loose bounds on
-    // this small, lightly loaded config (the tight accuracy
-    // quantification lives in the Table 3 harness, not here).
-    double roiErr =
-        std::abs(static_cast<double>(hybrid.roiFinish)
-                 - static_cast<double>(exact.roiFinish))
-        / static_cast<double>(exact.roiFinish);
-    EXPECT_LT(roiErr, 0.20);
-    double csErr = std::abs(static_cast<double>(hybrid.totalCs())
-                            - static_cast<double>(exact.totalCs()))
-                   / static_cast<double>(exact.totalCs());
-    EXPECT_LT(csErr, 0.10);
-}
-
-TEST(HybridFidelity, LockTrafficNeverTakesFastpath)
-{
-    // Run with *only* lock-driven traffic (no background): every
-    // window-open send is still preceded by lock protocol activity,
-    // but lock packets themselves must always ride the exact mesh.
-    SystemConfig cfg;
-    cfg.mesh = MeshShape{2, 2};
-    cfg.numThreads = 4;
-    cfg.maxCycles = 4'000'000;
-    cfg.fidelity = Fidelity::Hybrid;
-    RunMetrics m = runWith(cfg, {}, SimCoreMode::Event, 3);
-    EXPECT_FALSE(m.hangDetected);
-    // Lock packets are injected into the mesh, never fastpathed, so
-    // the mesh lock counter equals a pure-exact run's.
-    cfg.fidelity = Fidelity::Exact;
-    RunMetrics exact = runWith(cfg, {}, SimCoreMode::Event, 3);
-    EXPECT_EQ(m.lockPacketsInjected, exact.lockPacketsInjected);
-    EXPECT_EQ(m.totalAcquisitions(), exact.totalAcquisitions());
-}
-
-TEST(HybridFidelity, RejectsFaultInjectionAndChecking)
-{
-    // Hybrid bypasses per-flit transport; fault injection and
-    // invariant checking reason about exactly that, so validate()
-    // must refuse the combination instead of silently mis-modeling.
-    SystemConfig cfg;
-    cfg.fidelity = Fidelity::Hybrid;
-    cfg.fault.dropRate = 0.01;
-    EXPECT_DEATH(cfg.validate(), "");
-
-    SystemConfig cfg2;
-    cfg2.fidelity = Fidelity::Hybrid;
-    cfg2.check.checks = allChecksMask();
-    EXPECT_DEATH(cfg2.validate(), "");
 }

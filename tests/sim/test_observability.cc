@@ -299,4 +299,22 @@ TEST(Observability, SystemRegistersHierarchicalStats)
     reg.dumpJson(y);
     EXPECT_EQ(x.str(), y.str());
     EXPECT_EQ(x.str().front(), '{');
+
+    // The NoC has one fidelity: no analytic fast-path or window
+    // counter in the dump, and no fastpath wake reason even with the
+    // wake profiler publishing the other reasons.
+    SimOptions opts;
+    opts.wakeProfile = true;
+    Simulator prof(smallConfig(), contendedPrograms(4),
+                   BgTrafficConfig{}, opts);
+    prof.run();
+    StatsRegistry full;
+    prof.registerStats(full);
+    std::ostringstream z;
+    full.dumpJson(z);
+    EXPECT_TRUE(full.has("sim.wake.net_reason.router_busy"));
+    for (const std::string &json : {x.str(), z.str()})
+        for (const char *gone :
+             {"net.fastpath_packets", "net.window.", "fastpath"})
+            EXPECT_EQ(json.find(gone), std::string::npos) << gone;
 }

@@ -1,8 +1,7 @@
 /**
  * @file
  * Task-supervision tests (DESIGN.md §12): deadlines cancel runs
- * cooperatively, failed attempts retry, repeat offenders are
- * quarantined, degraded sweeps complete with per-request outcomes,
+ * cooperatively, degraded sweeps complete with per-request outcomes,
  * and supervision off (or satisfied) is bit-identical to the
  * unsupervised engine.
  */
@@ -33,16 +32,10 @@ smallExp(unsigned threads = 4, unsigned iters = 2)
 
 /** A policy whose deadline no real simulation can meet. */
 SupervisePolicy
-impossibleDeadline(unsigned maxAttempts, unsigned quarantineAfter)
+impossibleDeadline()
 {
     SupervisePolicy p;
     p.deadlineSeconds = 1e-5;
-    p.maxAttempts = maxAttempts;
-    p.backoffBaseSeconds = 1e-3;
-    p.backoffMaxSeconds = 2e-3;
-    p.backoffJitter = 0.0;
-    p.quarantineAfter = quarantineAfter;
-    p.enabled = true;
     return p;
 }
 
@@ -53,8 +46,6 @@ TEST(ParallelRunnerSupervisionTest, RunStatusNamesAreStable)
     EXPECT_STREQ(runStatusName(RunStatus::Ok), "ok");
     EXPECT_STREQ(runStatusName(RunStatus::TimedOut), "timed-out");
     EXPECT_STREQ(runStatusName(RunStatus::Failed), "failed");
-    EXPECT_STREQ(runStatusName(RunStatus::Quarantined),
-                 "quarantined");
 }
 
 TEST(ParallelRunnerSupervisionTest, DeadlineScalesWithRequestSize)
@@ -62,7 +53,6 @@ TEST(ParallelRunnerSupervisionTest, DeadlineScalesWithRequestSize)
     ParallelRunner runner(1);
     SupervisePolicy p;
     p.deadlineSeconds = 2.0;
-    p.enabled = true;
     runner.setSupervision(p);
 
     RunRequest req;
@@ -107,7 +97,7 @@ TEST(ParallelRunnerSupervisionTest, CancelledRunReportsCancelled)
 TEST(ParallelRunnerSupervisionTest, DeadlineMissDegradesGracefully)
 {
     ParallelRunner runner(2);
-    runner.setSupervision(impossibleDeadline(2, 100));
+    runner.setSupervision(impossibleDeadline());
 
     RunRequest req;
     req.profile = profileByName("ferret");
@@ -121,37 +111,11 @@ TEST(ParallelRunnerSupervisionTest, DeadlineMissDegradesGracefully)
     const auto outcomes = runner.outcomes();
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].status, RunStatus::TimedOut);
-    EXPECT_EQ(outcomes[0].attempts, 2u);
     EXPECT_FALSE(outcomes[0].detail.empty());
-    EXPECT_EQ(runner.timeouts(), 2u);
-    EXPECT_EQ(runner.retries(), 1u);
+    EXPECT_EQ(runner.timeouts(), 1u);
+    EXPECT_EQ(runner.failures(), 0u);
     EXPECT_EQ(runner.degradedRuns(), 1u);
-    EXPECT_EQ(runner.quarantined(), 0u);
-}
-
-TEST(ParallelRunnerSupervisionTest, QuarantineShortCircuitsRepeats)
-{
-    ParallelRunner runner(1);
-    runner.setSupervision(impossibleDeadline(1, 1));
-
-    RunRequest req;
-    req.profile = profileByName("ferret");
-    req.exp = smallExp(16, 6);
-
-    runner.run({req});
-    const auto first = runner.outcomes();
-    ASSERT_EQ(first.size(), 1u);
-    EXPECT_EQ(first[0].status, RunStatus::TimedOut);
-
-    // The config burned its failure budget: the second sweep skips
-    // it without consuming a simulation attempt.
-    runner.run({req});
-    const auto second = runner.outcomes();
-    ASSERT_EQ(second.size(), 1u);
-    EXPECT_EQ(second[0].status, RunStatus::Quarantined);
-    EXPECT_EQ(second[0].attempts, 0u);
-    EXPECT_EQ(runner.quarantined(), 1u);
-    EXPECT_EQ(runner.degradedRuns(), 2u);
+    EXPECT_EQ(runner.runsExecuted(), 1u);
 }
 
 TEST(ParallelRunnerSupervisionTest, GenerousDeadlineIsBitIdentical)
@@ -165,8 +129,6 @@ TEST(ParallelRunnerSupervisionTest, GenerousDeadlineIsBitIdentical)
     ParallelRunner runner(2);
     SupervisePolicy p;
     p.deadlineSeconds = 300.0;
-    p.maxAttempts = 3;
-    p.enabled = true;
     runner.setSupervision(p);
     RunRequest req;
     req.profile = profile;
@@ -183,7 +145,6 @@ TEST(ParallelRunnerSupervisionTest, GenerousDeadlineIsBitIdentical)
     const auto outcomes = runner.outcomes();
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_EQ(outcomes[0].status, RunStatus::Ok);
-    EXPECT_EQ(outcomes[0].attempts, 1u);
     EXPECT_EQ(runner.degradedRuns(), 0u);
 }
 
@@ -239,8 +200,8 @@ TEST(ParallelRunnerSupervisionTest, SupervisedStatsAreRegistered)
     runner.registerStats(reg);
     EXPECT_TRUE(reg.has("runner.timeouts"));
     EXPECT_TRUE(reg.has("runner.failures"));
-    EXPECT_TRUE(reg.has("runner.retries"));
-    EXPECT_TRUE(reg.has("runner.quarantined"));
+    EXPECT_FALSE(reg.has("runner.retries"));
+    EXPECT_FALSE(reg.has("runner.quarantined"));
     EXPECT_TRUE(reg.has("runner.degraded"));
     EXPECT_TRUE(reg.has("runner.pool.queue_depth"));
     EXPECT_EQ(reg.scalar("runner.timeouts"), 0.0);
