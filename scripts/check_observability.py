@@ -50,6 +50,9 @@ def check_stats(path):
         "system.lockmgr0.handover_latency_hist",
         "system.thread0.acquisitions",
         "system.trace.emitted",
+        "system.mem.l1_rows_allocated",
+        "system.mem.l2_rows_allocated",
+        "system.mem.l2_dir_entries_peak",
     ]
     missing = [k for k in required if k not in stats]
     if missing:

@@ -21,7 +21,7 @@ coherStateName(CoherState s)
 CacheArray::CacheArray(unsigned sets, unsigned ways,
                        unsigned line_bytes)
     : sets_(sets), ways_(ways), lineBytes_(line_bytes),
-      lines_(sets * ways)
+      rows_(sets)
 {
     if (sets == 0 || (sets & (sets - 1)) != 0)
         ocor_fatal("CacheArray: sets must be a power of two");
@@ -39,9 +39,11 @@ CacheArray::setOf(Addr line_addr) const
 CacheLine *
 CacheArray::find(Addr line_addr)
 {
-    unsigned s = setOf(line_addr);
+    CacheLine *row = rows_[setOf(line_addr)].get();
+    if (!row)
+        return nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
-        CacheLine &l = lines_[s * ways_ + w];
+        CacheLine &l = row[w];
         if (l.valid && l.addr == line_addr)
             return &l;
     }
@@ -57,10 +59,16 @@ CacheArray::find(Addr line_addr) const
 CacheLine *
 CacheArray::victimFor(Addr line_addr)
 {
-    unsigned s = setOf(line_addr);
+    std::unique_ptr<CacheLine[]> &slot = rows_[setOf(line_addr)];
+    if (!slot) {
+        slot = std::make_unique<CacheLine[]>(ways_);
+        ++rowsAllocated_;
+        return &slot[0];
+    }
+    CacheLine *row = slot.get();
     CacheLine *lru = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
-        CacheLine &l = lines_[s * ways_ + w];
+        CacheLine &l = row[w];
         if (!l.valid)
             return &l;
         if (!lru || l.lastUse < lru->lastUse)
@@ -89,8 +97,12 @@ unsigned
 CacheArray::validCount() const
 {
     unsigned n = 0;
-    for (const auto &l : lines_)
-        n += l.valid ? 1 : 0;
+    for (const auto &row : rows_) {
+        if (!row)
+            continue;
+        for (unsigned w = 0; w < ways_; ++w)
+            n += row[w].valid ? 1 : 0;
+    }
     return n;
 }
 

@@ -5,12 +5,19 @@
  * Shared by the private L1s and the L2 bank of each node. The
  * simulator is timing directed: the array tracks tags and coherence
  * state, not data values.
+ *
+ * A set's row of ways lines is allocated the first time victimFor()
+ * touches the set; an untouched set holds nothing and misses in
+ * find(). Rows never move once allocated, so a CacheLine* stays
+ * valid for the array's lifetime. Victim choice is the same as in a
+ * dense array: the first invalid way, else the lowest lastUse.
  */
 
 #ifndef OCOR_MEM_CACHE_ARRAY_HH
 #define OCOR_MEM_CACHE_ARRAY_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -28,12 +35,12 @@ const char *coherStateName(CoherState s);
 struct CacheLine
 {
     Addr addr = 0;           ///< full line address
-    CoherState state = CoherState::I;
     std::uint64_t lastUse = 0;
+    CoherState state = CoherState::I;
     bool valid = false;
 };
 
-/** Tag array of sets x ways lines. */
+/** Tag array of sets x ways lines, rows allocated on first touch. */
 class CacheArray
 {
   public:
@@ -47,6 +54,7 @@ class CacheArray
      * Choose a victim way in the set of @p line_addr: an invalid way
      * if one exists, else the LRU way. Returns the slot; the caller
      * inspects *victim to handle writeback, then overwrites it.
+     * Allocates the set's row if this is its first touch.
      */
     CacheLine *victimFor(Addr line_addr);
 
@@ -63,13 +71,18 @@ class CacheArray
     /** Number of valid lines (occupancy checks in tests). */
     unsigned validCount() const;
 
+    /** Sets whose row has been allocated (footprint stats). */
+    unsigned rowsAllocated() const { return rowsAllocated_; }
+
   private:
     unsigned setOf(Addr line_addr) const;
 
     unsigned sets_;
     unsigned ways_;
     unsigned lineBytes_;
-    std::vector<CacheLine> lines_; ///< sets_ * ways_, row per set
+    unsigned rowsAllocated_ = 0;
+    /** One row of ways_ lines per set; null until first touched. */
+    std::vector<std::unique_ptr<CacheLine[]>> rows_;
 };
 
 } // namespace ocor

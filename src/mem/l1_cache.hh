@@ -82,6 +82,9 @@ class L1Cache
     /** White-box state inspection for tests. */
     CoherState lineState(Addr addr) const;
 
+    /** Footprint stats: sets whose row has been allocated. */
+    unsigned rowsAllocated() const { return array_.rowsAllocated(); }
+
   private:
     struct Mshr
     {

@@ -1,5 +1,7 @@
 #include "mem/l2_directory.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace ocor
@@ -141,8 +143,7 @@ L2Directory::unbusyAndDrain(Addr line, Cycle now)
     e.waitingUnblock = false;
     e.acksLeft = 0;
     while (!e.busy && !e.pending.empty()) {
-        PacketPtr next = e.pending.front();
-        e.pending.pop_front();
+        PacketPtr next = e.pending.pop();
         process(next, now);
     }
 }
@@ -273,12 +274,13 @@ L2Directory::process(const PacketPtr &pkt, Cycle now)
 {
     const Addr line = pkt->addr;
     DirEntry &e = dir_[line];
+    dirPeak_ = std::max(dirPeak_, dir_.size());
 
     switch (pkt->type) {
       case MsgType::GetS:
       case MsgType::GetM:
         if (e.busy) {
-            e.pending.push_back(pkt);
+            e.pending.push(pkt);
             ++stats_.queuedRequests;
         } else {
             startRequest(e, pkt, now);
@@ -288,7 +290,7 @@ L2Directory::process(const PacketPtr &pkt, Cycle now)
       case MsgType::PutM:
       case MsgType::PutE:
         if (e.busy) {
-            e.pending.push_back(pkt);
+            e.pending.push(pkt);
             ++stats_.queuedRequests;
             break;
         }
@@ -333,12 +335,10 @@ L2Directory::process(const PacketPtr &pkt, Cycle now)
 
       case MsgType::MemResp: {
         fillL2(line, now);
-        // dir_ may rehash inside fillL2 (victim erase); re-find.
-        DirEntry &er = dir_[line];
-        er.waitingMem = false;
-        PacketPtr req = er.req;
-        er.busy = false;
-        er.req.reset();
+        e.waitingMem = false;
+        PacketPtr req = e.req;
+        e.busy = false;
+        e.req.reset();
         if (req)
             process(req, now);
         else

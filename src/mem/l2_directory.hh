@@ -21,7 +21,8 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 #include "mem/address_map.hh"
@@ -76,7 +77,36 @@ class L2Directory
     std::uint64_t sharersOf(Addr addr) const;
     bool lineBusy(Addr addr) const;
 
+    /** Footprint stats: L2 rows allocated, most directory entries
+     * held at once. */
+    unsigned rowsAllocated() const { return l2_.rowsAllocated(); }
+    std::size_t dirEntriesPeak() const { return dirPeak_; }
+
   private:
+    /** Requests queued on a busy line, served in arrival order. Holds
+     * no storage until the first push. */
+    class PendingFifo
+    {
+      public:
+        bool empty() const { return head_ == items_.size(); }
+        void push(const PacketPtr &pkt) { items_.push_back(pkt); }
+
+        PacketPtr
+        pop()
+        {
+            PacketPtr pkt = std::move(items_[head_++]);
+            if (head_ == items_.size()) {
+                items_.clear();
+                head_ = 0;
+            }
+            return pkt;
+        }
+
+      private:
+        std::vector<PacketPtr> items_;
+        std::size_t head_ = 0;
+    };
+
     struct DirEntry
     {
         NodeId owner = invalidNode;
@@ -88,7 +118,7 @@ class L2Directory
         bool waitingMem = false;
         bool waitingFetch = false;
         bool waitingUnblock = false;
-        std::deque<PacketPtr> pending;
+        PendingFifo pending;
     };
 
     void process(const PacketPtr &pkt, Cycle now);
@@ -105,7 +135,10 @@ class L2Directory
     SendFn send_;
 
     CacheArray l2_;
-    std::map<Addr, DirEntry> dir_;
+    /** Node-based, so a DirEntry& survives inserting or erasing
+     * other lines (fillL2 erases a victim mid-transaction). */
+    std::unordered_map<Addr, DirEntry> dir_;
+    std::size_t dirPeak_ = 0;
     std::deque<std::pair<Cycle, PacketPtr>> delayed_;
     std::uint64_t useTick_ = 0;
 

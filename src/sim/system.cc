@@ -130,6 +130,27 @@ System::registerStats(StatsRegistry &reg, const std::string &prefix)
         return static_cast<double>(network_->totalFlitsInjected());
     });
 
+    // Memory-side footprint, summed over banks: cache rows are
+    // allocated on first touch, directory entries per line touched.
+    reg.addScalarFn(prefix + ".mem.l1_rows_allocated", [this]() {
+        double rows = 0;
+        for (const auto &l1 : l1s_)
+            rows += l1->rowsAllocated();
+        return rows;
+    });
+    reg.addScalarFn(prefix + ".mem.l2_rows_allocated", [this]() {
+        double rows = 0;
+        for (const auto &l2 : l2s_)
+            rows += l2->rowsAllocated();
+        return rows;
+    });
+    reg.addScalarFn(prefix + ".mem.l2_dir_entries_peak", [this]() {
+        double peak = 0;
+        for (const auto &l2 : l2s_)
+            peak += static_cast<double>(l2->dirEntriesPeak());
+        return peak;
+    });
+
     const unsigned nodes = cfg_.mesh.numNodes();
     for (NodeId n = 0; n < nodes; ++n) {
         const std::string r = prefix + ".router" + std::to_string(n);

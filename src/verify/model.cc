@@ -167,6 +167,86 @@ msgLess(const Msg &a, const Msg &b)
     return a.seq < b.seq;
 }
 
+/**
+ * One thread's 8-byte record, packed big-endian so that comparing
+ * two records as integers orders them like comparing their bytes.
+ * Records carry no thread ids: a renaming only reorders them.
+ */
+std::uint64_t
+threadRecord(const ThreadModel &t)
+{
+    const std::uint8_t bytes[] = {
+        static_cast<std::uint8_t>((t.cs.active ? 1 : 0) |
+                                  (t.cs.holding ? 2 : 0) |
+                                  (t.cs.tryInFlight ? 4 : 0) |
+                                  (t.cs.everSlept ? 8 : 0) |
+                                  (t.wakePending ? 16 : 0)),
+        static_cast<std::uint8_t>(t.cs.phase),
+        static_cast<std::uint8_t>(t.cs.timer),
+        static_cast<std::uint8_t>(t.acqsLeft),
+        static_cast<std::uint8_t>(t.budgetLeft),
+        static_cast<std::uint8_t>(t.lastRtr),
+        static_cast<std::uint8_t>(t.prog),
+        static_cast<std::uint8_t>(t.overtaken),
+    };
+    std::uint64_t r = 0;
+    for (std::uint8_t b : bytes)
+        r = (r << 8) | b;
+    return r;
+}
+
+void
+putRecord(std::string &out, std::uint64_t r)
+{
+    for (int shift = 56; shift >= 0; shift -= 8)
+        put8(out, static_cast<std::uint8_t>(r >> shift));
+}
+
+/**
+ * Append everything after the thread records: the home and the
+ * in-flight messages, with every thread id renamed through @p pi
+ * (null = identity; the model's node i is thread i).
+ */
+void
+encodeRest(std::string &out, const WorldState &s, const ThreadId *pi)
+{
+    const auto rename = [pi](ThreadId t) {
+        return pi && t != invalidThread ? pi[t] : t;
+    };
+    const proto::HomeLockState &home = s.home;
+    put8(out, home.held ? 1 : 0);
+    put8(out, home.holder == invalidThread
+                  ? 0xFF
+                  : static_cast<std::uint8_t>(rename(home.holder)));
+    // Wait-queue order is FIFO-significant: encode in order.
+    put8(out, static_cast<std::uint8_t>(home.waitQueue.size()));
+    for (const auto &[tid, node] : home.waitQueue)
+        put8(out, static_cast<std::uint8_t>(rename(tid)));
+    // Poller order only affects the emission order of invalidations,
+    // which land in the unordered message set anyway: sort so
+    // semantically equal states merge.
+    std::vector<ThreadId> ps;
+    for (const auto &[tid, node] : home.pollers)
+        ps.push_back(rename(tid));
+    std::sort(ps.begin(), ps.end());
+    put8(out, static_cast<std::uint8_t>(ps.size()));
+    for (ThreadId tid : ps)
+        put8(out, static_cast<std::uint8_t>(tid));
+    put8(out, s.wakeRetryPending ? 1 : 0);
+    std::vector<Msg> ms = s.msgs;
+    for (Msg &m : ms)
+        m.tid = rename(m.tid);
+    std::sort(ms.begin(), ms.end(), msgLess);
+    put8(out, static_cast<std::uint8_t>(ms.size()));
+    for (const Msg &m : ms) {
+        put8(out, static_cast<std::uint8_t>(m.kind));
+        put8(out, static_cast<std::uint8_t>(m.tid));
+        put8(out, static_cast<std::uint8_t>(m.rtr));
+        put8(out, static_cast<std::uint8_t>(m.prog));
+        put8(out, static_cast<std::uint8_t>(m.seq));
+    }
+}
+
 } // namespace
 
 std::string
@@ -174,104 +254,74 @@ WorldState::encode() const
 {
     std::string out;
     out.reserve(16 + threads.size() * 10 + msgs.size() * 4);
-    for (const ThreadModel &t : threads) {
-        put8(out, static_cast<std::uint8_t>(
-                      (t.cs.active ? 1 : 0) |
-                      (t.cs.holding ? 2 : 0) |
-                      (t.cs.tryInFlight ? 4 : 0) |
-                      (t.cs.everSlept ? 8 : 0) |
-                      (t.wakePending ? 16 : 0)));
-        put8(out, static_cast<std::uint8_t>(t.cs.phase));
-        put8(out, static_cast<std::uint8_t>(t.cs.timer));
-        put8(out, static_cast<std::uint8_t>(t.acqsLeft));
-        put8(out, static_cast<std::uint8_t>(t.budgetLeft));
-        put8(out, static_cast<std::uint8_t>(t.lastRtr));
-        put8(out, static_cast<std::uint8_t>(t.prog));
-        put8(out, static_cast<std::uint8_t>(t.overtaken));
-    }
-    put8(out, home.held ? 1 : 0);
-    put8(out, home.holder == invalidThread
-                  ? 0xFF
-                  : static_cast<std::uint8_t>(home.holder));
-    // Wait-queue order is FIFO-significant: encode in order.
-    put8(out, static_cast<std::uint8_t>(home.waitQueue.size()));
-    for (const auto &[tid, node] : home.waitQueue)
-        put8(out, static_cast<std::uint8_t>(tid));
-    // Poller order only affects the emission order of invalidations,
-    // which land in the unordered message set anyway: sort so
-    // semantically equal states merge.
-    {
-        std::vector<ThreadId> ps;
-        for (const auto &[tid, node] : home.pollers)
-            ps.push_back(tid);
-        std::sort(ps.begin(), ps.end());
-        put8(out, static_cast<std::uint8_t>(ps.size()));
-        for (ThreadId tid : ps)
-            put8(out, static_cast<std::uint8_t>(tid));
-    }
-    put8(out, wakeRetryPending ? 1 : 0);
-    {
-        std::vector<Msg> ms = msgs;
-        std::sort(ms.begin(), ms.end(), msgLess);
-        put8(out, static_cast<std::uint8_t>(ms.size()));
-        for (const Msg &m : ms) {
-            put8(out, static_cast<std::uint8_t>(m.kind));
-            put8(out, static_cast<std::uint8_t>(m.tid));
-            put8(out, static_cast<std::uint8_t>(m.rtr));
-            put8(out, static_cast<std::uint8_t>(m.prog));
-            put8(out, static_cast<std::uint8_t>(m.seq));
-        }
-    }
+    for (const ThreadModel &t : threads)
+        putRecord(out, threadRecord(t));
+    encodeRest(out, *this, nullptr);
     return out;
 }
-
-namespace
-{
-
-/** @p s with thread identities renamed through @p pi (the model's
- * abstract node i is thread i, so node fields rename too). */
-WorldState
-permuteThreads(const WorldState &s, const std::vector<ThreadId> &pi)
-{
-    WorldState r = s;
-    for (std::size_t t = 0; t < s.threads.size(); ++t)
-        r.threads[pi[t]] = s.threads[t];
-    if (s.home.holder != invalidThread)
-        r.home.holder = pi[s.home.holder];
-    for (auto &[tid, node] : r.home.waitQueue) {
-        tid = pi[tid];
-        node = static_cast<NodeId>(tid);
-    }
-    for (auto &[tid, node] : r.home.pollers) {
-        tid = pi[tid];
-        node = static_cast<NodeId>(tid);
-    }
-    for (Msg &m : r.msgs)
-        if (m.tid != invalidThread)
-            m.tid = pi[m.tid];
-    return r;
-}
-
-} // namespace
 
 std::string
 canonicalKey(const VerifyConfig &cfg, const WorldState &s)
 {
-    std::vector<ThreadId> pi(s.threads.size());
-    for (std::size_t t = 0; t < pi.size(); ++t)
-        pi[t] = static_cast<ThreadId>(t);
+    // The thread records lead the key, so the smallest key over all
+    // renamings starts with the records in ascending order (ForceHold
+    // seeds thread 0 asymmetrically: only renamings that fix it
+    // preserve behaviour, so it stays first). Only renamings that
+    // reorder threads with equal records can still differ, in the
+    // rest of the key: enumerate those alone.
+    const std::size_t n = s.threads.size();
+    std::vector<std::uint64_t> rec(n);
+    for (std::size_t t = 0; t < n; ++t)
+        rec[t] = threadRecord(s.threads[t]);
 
-    std::string best = s.encode();
-    while (std::next_permutation(pi.begin(), pi.end())) {
-        // ForceHold seeds thread 0 asymmetrically: only renamings
-        // that fix it preserve behaviour.
-        if (cfg.bug == BugKind::ForceHold && pi[0] != 0)
-            continue;
-        std::string key = permuteThreads(s, pi).encode();
-        if (key < best)
-            best = std::move(key);
+    // inv[j] = the old thread renamed to j.
+    std::vector<ThreadId> inv(n);
+    for (std::size_t t = 0; t < n; ++t)
+        inv[t] = static_cast<ThreadId>(t);
+    const std::size_t first = cfg.bug == BugKind::ForceHold ? 1 : 0;
+    const auto byRecord = [&rec](ThreadId a, ThreadId b) {
+        return rec[a] < rec[b] || (rec[a] == rec[b] && a < b);
+    };
+    std::sort(inv.begin() + static_cast<std::ptrdiff_t>(first),
+              inv.end(), byRecord);
+
+    std::string key;
+    for (ThreadId t : inv)
+        putRecord(key, rec[t]);
+
+    // Runs of equal records [lo, hi), each in ascending thread order.
+    std::vector<std::pair<std::size_t, std::size_t>> ties;
+    for (std::size_t lo = first; lo < n;) {
+        std::size_t hi = lo + 1;
+        while (hi < n && rec[inv[hi]] == rec[inv[lo]])
+            ++hi;
+        if (hi - lo > 1)
+            ties.emplace_back(lo, hi);
+        lo = hi;
     }
-    return best;
+
+    // Odometer over the tie runs: next_permutation returns false and
+    // restores ascending order when a run wraps.
+    const auto nextRenaming = [&inv, &ties] {
+        for (auto it = ties.rbegin(); it != ties.rend(); ++it)
+            if (std::next_permutation(
+                    inv.begin() + static_cast<std::ptrdiff_t>(it->first),
+                    inv.begin() + static_cast<std::ptrdiff_t>(it->second)))
+                return true;
+        return false;
+    };
+
+    std::vector<ThreadId> pi(n);
+    std::string best, rest; // rest is never empty
+    do {
+        for (std::size_t j = 0; j < n; ++j)
+            pi[inv[j]] = static_cast<ThreadId>(j);
+        rest.clear();
+        encodeRest(rest, s, pi.data());
+        if (best.empty() || rest < best)
+            best.swap(rest);
+    } while (nextRenaming());
+    return key + best;
 }
 
 // --- initial state --------------------------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,87 @@ TEST(VerifyModel, ForceHoldPinsThreadZeroInCanonicalKey)
     std::swap(b.threads[0], b.threads[1]);
 
     EXPECT_NE(canonicalKey(cfg, a), canonicalKey(cfg, b));
+}
+
+namespace
+{
+
+/** @p s with thread identities renamed through @p pi: the plain
+ * definition canonicalKey must agree with. */
+WorldState
+renamed(const WorldState &s, const std::vector<ThreadId> &pi)
+{
+    WorldState r = s;
+    for (std::size_t t = 0; t < s.threads.size(); ++t)
+        r.threads[pi[t]] = s.threads[t];
+    if (s.home.holder != invalidThread)
+        r.home.holder = pi[s.home.holder];
+    for (auto &[tid, node] : r.home.waitQueue) {
+        tid = pi[tid];
+        node = static_cast<NodeId>(tid);
+    }
+    for (auto &[tid, node] : r.home.pollers) {
+        tid = pi[tid];
+        node = static_cast<NodeId>(tid);
+    }
+    for (Msg &m : r.msgs)
+        if (m.tid != invalidThread)
+            m.tid = pi[m.tid];
+    return r;
+}
+
+/** Smallest encode() over every allowed renaming, by brute force. */
+std::string
+bruteForceKey(const VerifyConfig &cfg, const WorldState &s)
+{
+    std::vector<ThreadId> pi(s.threads.size());
+    for (std::size_t t = 0; t < pi.size(); ++t)
+        pi[t] = static_cast<ThreadId>(t);
+    std::string best = s.encode();
+    while (std::next_permutation(pi.begin(), pi.end())) {
+        if (cfg.bug == BugKind::ForceHold && pi[0] != 0)
+            continue;
+        best = std::min(best, renamed(s, pi).encode());
+    }
+    return best;
+}
+
+/** canonicalKey equals the brute-force key on the first @p limit
+ * distinct states a breadth-first walk of @p cfg reaches. */
+void
+expectKeysMatchBruteForce(const VerifyConfig &cfg, std::size_t limit)
+{
+    SCOPED_TRACE(cfg.describe());
+    std::vector<WorldState> queue{initialState(cfg)};
+    std::set<std::string> seen{queue[0].encode()};
+    for (std::size_t i = 0; i < queue.size() && i < limit; ++i) {
+        const WorldState cur = queue[i];
+        ASSERT_EQ(canonicalKey(cfg, cur), bruteForceKey(cfg, cur))
+            << "state " << i;
+        for (ScheduleStep &step : enabledSteps(cfg, cur)) {
+            if (queue.size() >= limit)
+                break;
+            WorldState next = cur;
+            applyStep(cfg, next, step);
+            if (seen.insert(next.encode()).second)
+                queue.push_back(std::move(next));
+        }
+    }
+}
+
+} // namespace
+
+TEST(VerifyModel, CanonicalKeyMatchesBruteForceRenaming)
+{
+    VerifyConfig cfg;
+    cfg.threads = 3;
+    cfg.acquisitions = 2;
+    expectKeysMatchBruteForce(cfg, 3000);
+    cfg.threads = 4;
+    cfg.acquisitions = 1;
+    expectKeysMatchBruteForce(cfg, 3000);
+    cfg.bug = BugKind::ForceHold;
+    expectKeysMatchBruteForce(cfg, 3000);
 }
 
 TEST(VerifyModel, RtrMonotonicityViolationDetectedOnRaise)
